@@ -13,9 +13,7 @@ use rotary_netlist::BenchmarkSuite;
 use rotary_ring::{Ring, RingArray, RingDirection, RingParams};
 use rotary_solver::graph::{Source, SpfaGraph};
 use rotary_solver::lp::{LpProblem, Pricing, RowKind};
-use rotary_solver::mcmf::{
-    Circulation, CirculationBackend, DijkstraStrategy, FlowNetwork, Transportation,
-};
+use rotary_solver::mcmf::{Circulation, CirculationBackend, FlowNetwork, Transportation};
 use rotary_solver::rounding::{greedy_round_loaded, greedy_round_loaded_rescan, LoadedCandidate};
 use rotary_solver::sparse::{CsrMatrix, SparseLu};
 use rotary_solver::{DifferenceSystem, ParametricSystem};
@@ -635,40 +633,6 @@ fn bench_mcmf(c: &mut Criterion) {
         )
     });
 
-    // The cost-scaling push-relabel backend on the same instance pair:
-    // cold (full ε-schedule from the max reduced cost down to 1) and warm
-    // after the re-wrap drift (prices carried, so the ε-schedule restarts
-    // from the damage the ±T/2 shifts did, not from scratch). Canonical
-    // distances are included in the measured work, as in the SSP pair
-    // above, so the two backends' numbers are directly comparable.
-    c.bench_function("mcmf/cost_scaling_cold_s35932_sized", |b| {
-        b.iter_batched(
-            || {
-                let mut eng = Circulation::new(n + 1, &pairs);
-                eng.set_backend(CirculationBackend::CostScaling);
-                eng
-            },
-            |mut eng| {
-                eng.solve(&caps, &costs, false);
-                std::hint::black_box(eng.canonical_distances())
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    let mut cs_warm_src = Circulation::new(n + 1, &pairs);
-    cs_warm_src.set_backend(CirculationBackend::CostScaling);
-    cs_warm_src.solve(&caps, &costs, false);
-    c.bench_function("mcmf/cost_scaling_warm_rewrap_s35932_sized", |b| {
-        b.iter_batched(
-            || cs_warm_src.clone(),
-            |mut eng| {
-                eng.solve(&caps, &wrapped, true);
-                std::hint::black_box(eng.canonical_distances())
-            },
-            BatchSize::SmallInput,
-        )
-    });
-
     // The quantization ladder on the same instance pair: cold runs the
     // full 2^16 -> 2^24 -> 2^32 -> 2^40 refinement, warm takes the
     // sparse-delta bypass (the re-wrap touches ~3% of pairs, well under
@@ -698,35 +662,6 @@ fn bench_mcmf(c: &mut Criterion) {
                 eng.solve(&caps, &wrapped, true);
                 std::hint::black_box(eng.canonical_distances())
             },
-            BatchSize::SmallInput,
-        )
-    });
-
-    // The two relaxation-kernel strategies head to head on the same cold
-    // solve: the sequential binary heap vs the parallel bucket-based
-    // radix queue. Results are bit-identical (see the strategy proptest);
-    // this pair measures the crossover the `Auto` policy is betting on —
-    // on a single hardware thread the bucketed queue's batch machinery is
-    // pure overhead, with more cores it amortizes across the gather.
-    c.bench_function("mcmf/sequential_dijkstra", |b| {
-        b.iter_batched(
-            || {
-                let mut eng = Circulation::new(n + 1, &pairs);
-                eng.set_strategy(DijkstraStrategy::Sequential);
-                eng
-            },
-            |mut eng| std::hint::black_box(eng.solve(&caps, &costs, false)),
-            BatchSize::SmallInput,
-        )
-    });
-    c.bench_function("mcmf/parallel_dijkstra", |b| {
-        b.iter_batched(
-            || {
-                let mut eng = Circulation::new(n + 1, &pairs);
-                eng.set_strategy(DijkstraStrategy::Bucketed);
-                eng
-            },
-            |mut eng| std::hint::black_box(eng.solve(&caps, &costs, false)),
             BatchSize::SmallInput,
         )
     });

@@ -91,11 +91,10 @@ pub struct FlowConfig {
     pub warm_start: bool,
     /// Min-cost-circulation engine behind the stage-4 weighted dual.
     /// Schedules are bit-identical across backends (both recover the
-    /// canonical residual distances); `Auto` currently resolves to
-    /// successive shortest paths, which beats cost scaling on every
-    /// measured suite, so cost scaling is an explicit opt-in. The
-    /// `ROTARY_MCMF_BACKEND` environment variable overrides this at the
-    /// solver level.
+    /// canonical residual distances); `Auto` currently resolves to the
+    /// quantization ladder, which beats plain successive shortest paths
+    /// on every measured suite. The `ROTARY_MCMF_BACKEND` environment
+    /// variable overrides this at the solver level.
     #[serde(default)]
     pub circulation_backend: CirculationBackend,
 }

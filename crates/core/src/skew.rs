@@ -77,8 +77,8 @@ pub struct SkewStats {
     /// the admissible subgraph offered this call.
     pub max_plateau: usize,
     /// Label of the circulation engine variant that served this call
-    /// (`"ssp-sequential"`, `"ssp-bucketed"`, `"cost-scaling"`, or
-    /// `"quant-ladder"`); `None` for schedulers that run no circulation.
+    /// (`"ssp-sequential"` or `"quant-ladder"`); `None` for schedulers
+    /// that run no circulation.
     pub backend: Option<&'static str>,
 }
 

@@ -152,11 +152,11 @@ pub struct StageRecord {
     /// stages.
     pub max_plateau: usize,
     /// Label of the solver backend that served this pass (stage 4: the
-    /// circulation engine `"ssp-sequential"`, `"ssp-bucketed"`,
-    /// `"cost-scaling"`, or `"quant-ladder"`; stage 3 on the eq. 3 route:
-    /// `"lp-cold"`, `"lp-warm"`, or `"lp-dual-repair"`; stage 3 on the
-    /// network-flow route: the transportation engine's `"tp-cold"` or
-    /// `"tp-warm"`). Empty for stages without a backend choice.
+    /// circulation engine `"ssp-sequential"` or `"quant-ladder"`; stage 3
+    /// on the eq. 3 route: `"lp-cold"`, `"lp-warm"`, or
+    /// `"lp-dual-repair"`; stage 3 on the network-flow route: the
+    /// transportation engine's `"tp-cold"` or `"tp-warm"`). Empty for
+    /// stages without a backend choice.
     pub backend: &'static str,
 }
 
@@ -426,7 +426,7 @@ mod tests {
             scope.add_paths(40);
             scope.note_max_plateau(6);
             scope.note_max_plateau(4);
-            scope.set_backend("cost-scaling");
+            scope.set_backend("quant-ladder");
         }
         assert_eq!(t.records().len(), 1);
         let r = t.records()[0];
@@ -440,7 +440,7 @@ mod tests {
         assert_eq!(r.rounds, 11);
         assert_eq!(r.paths, 40);
         assert_eq!(r.max_plateau, 6, "plateau watermark is a max, not a sum");
-        assert_eq!(r.backend, "cost-scaling");
+        assert_eq!(r.backend, "quant-ladder");
         assert!(r.seconds >= 0.0);
     }
 
@@ -497,7 +497,7 @@ mod tests {
         let mut t = FlowTelemetry::new();
         t.push(record(Stage::InitialPlacement, 0, 0.25));
         let mut s4 = record(Stage::SkewOptimization, 0, 0.5);
-        s4.backend = "ssp-bucketed";
+        s4.backend = "ssp-sequential";
         t.push(s4);
         let json = t.to_json();
         assert!(json.contains("\"stage\": \"initial_placement\""));
@@ -511,7 +511,7 @@ mod tests {
         assert!(json.contains("\"paths\": 0"));
         assert!(json.contains("\"max_plateau\": 0"));
         assert!(json.contains("\"backend\": \"\""), "no-backend stages serialize empty");
-        assert!(json.contains("\"backend\": \"ssp-bucketed\""));
+        assert!(json.contains("\"backend\": \"ssp-sequential\""));
         // Balanced braces/brackets (cheap well-formedness check).
         assert_eq!(json.matches('{').count(), json.matches('}').count(),);
         assert_eq!(json.matches('[').count(), json.matches(']').count(),);

@@ -14,9 +14,7 @@
 //!   over [`Cost`] (stage 2 runs it on `f64` bounds, the circulation's
 //!   canonical-dual recovery on `i64` residual costs);
 //! * [`Dijkstra`] — multi-source label settling over non-negative
-//!   (reduced) costs with a sequential binary-heap strategy for any
-//!   [`Cost`] and a bucketed monotone (radix) strategy for `i64`, where
-//!   equal-distance batches relax in parallel with a deterministic commit.
+//!   (reduced) costs on a binary heap, for any [`Cost`].
 //!
 //! Consumers ([`crate::difference`], [`crate::mcmf`], and — through those —
 //! the skew schedulers in `rotary-core`) pick a strategy; none of them owns
@@ -86,21 +84,6 @@ impl Cost for i64 {
     }
     fn finite(self) -> bool {
         self != i64::MAX
-    }
-}
-
-/// Wide exact costs for the cost-scaling circulation backend: its internal
-/// prices are scaled by `n + 1` on top of the 2^40 cost quantization, which
-/// overflows `i64` on large instances; the price-refinement SPFA therefore
-/// relaxes in `i128`.
-impl Cost for i128 {
-    const ZERO: Self = 0;
-    const UNREACHED: Self = i128::MAX;
-    fn add(self, rhs: Self) -> Self {
-        self + rhs
-    }
-    fn finite(self) -> bool {
-        self != i128::MAX
     }
 }
 
@@ -344,18 +327,9 @@ impl<C: Cost> PartialOrd for HeapKey<C> {
 /// reduced-cost computation stay with the caller and the hot loop
 /// monomorphizes over the provider.
 ///
-/// Two strategies:
-///
-/// * [`Self::run`] — sequential binary heap, any [`Cost`]. Settles nodes
-///   in `(dist, node)` order and calls `settle` once per finalized node;
-///   [`SettleControl::Stop`] ends the pass after that node's arcs relax.
-/// * [`Self::run_bucketed`] — `i64` only: a monotone 65-bucket radix
-///   queue pops *batches* of equal-distance nodes (sorted by node id) and
-///   relaxes large batches through [`par_map_with`] with a sequential
-///   deterministic commit. Settled labels, predecessors-of-settled-nodes,
-///   and any potential update capped at the stopping distance are
-///   identical to the sequential strategy's (equal-distance settle order
-///   may differ, which only permutes work *within* one distance level).
+/// [`Self::run`] settles nodes in `(dist, node)` order and calls `settle`
+/// once per finalized node; [`SettleControl::Stop`] ends the pass after
+/// that node's arcs relax.
 #[derive(Debug, Clone)]
 pub struct Dijkstra<C: Cost> {
     dist: Vec<C>,
@@ -387,7 +361,7 @@ impl<C: Cost> Dijkstra<C> {
         self.heap.clear();
     }
 
-    /// Sequential heap strategy. `sources` start at [`Cost::ZERO`];
+    /// One multi-source pass. `sources` start at [`Cost::ZERO`];
     /// `arcs(u)` yields `(arc_id, head, weight)` with `weight ≥ 0` (up to
     /// `eps`); `settle(u, dist_u)` fires once per finalized node.
     pub fn run<A, I, F>(
@@ -422,120 +396,6 @@ impl<C: Cost> Dijkstra<C> {
                 }
             }
             if verdict == SettleControl::Stop {
-                return;
-            }
-        }
-    }
-}
-
-impl Dijkstra<i64> {
-    /// Bucketed monotone strategy (exact integer distances only): batches
-    /// of equal-distance nodes settle together, in ascending node order,
-    /// and batches at least `cfg.min_parallel` wide gather their arc
-    /// relaxations through [`par_map_with`] before a sequential in-order
-    /// commit — so labels, predecessors, and pushes are bit-identical to
-    /// processing the batch sequentially, whatever the thread count.
-    pub fn run_bucketed<A, I, F>(
-        &mut self,
-        sources: impl IntoIterator<Item = usize>,
-        arcs: A,
-        mut settle: F,
-        cfg: &ParConfig,
-    ) where
-        A: Fn(usize) -> I + Sync,
-        I: Iterator<Item = (u32, u32, i64)>,
-        F: FnMut(usize, i64) -> SettleControl,
-    {
-        self.reset();
-        self.heap.clear();
-        // Radix buckets over the u64 key space: bucket 0 holds keys equal
-        // to the last settled distance `last`, bucket `b ≥ 1` keys whose
-        // highest differing bit from `last` is `b − 1`. Distances only
-        // grow, so redistribution on advancing `last` moves every entry to
-        // a strictly lower bucket — the classic monotone radix heap.
-        let mut buckets: Vec<Vec<(u64, u32)>> = vec![Vec::new(); 65];
-        let mut last = 0u64;
-        let bucket_of =
-            |key: u64, last: u64| -> usize { 64 - (key ^ last).leading_zeros() as usize };
-        for s in sources {
-            self.dist[s] = 0;
-            buckets[0].push((0, s as u32));
-        }
-        let mut batch: Vec<u32> = Vec::new();
-        loop {
-            if buckets[0].is_empty() {
-                let Some(b) = (1..=64).find(|&b| !buckets[b].is_empty()) else {
-                    return; // queue exhausted
-                };
-                last = buckets[b].iter().map(|&(k, _)| k).min().expect("bucket non-empty");
-                let drained = std::mem::take(&mut buckets[b]);
-                for (k, v) in drained {
-                    buckets[bucket_of(k, last)].push((k, v));
-                }
-            }
-            batch.clear();
-            for (k, v) in buckets[0].drain(..) {
-                debug_assert_eq!(k, last);
-                if self.dist[v as usize] as u64 == k {
-                    batch.push(v); // drop stale entries
-                }
-            }
-            if batch.is_empty() {
-                continue;
-            }
-            batch.sort_unstable();
-            batch.dedup();
-            // Settle in node order; Stop truncates the batch so exactly
-            // the settled prefix relaxes its arcs (matching the
-            // sequential strategy's "relax the stopping node, then halt").
-            let mut stop = false;
-            let mut settled = batch.len();
-            for (idx, &v) in batch.iter().enumerate() {
-                if settle(v as usize, last as i64) == SettleControl::Stop {
-                    stop = true;
-                    settled = idx + 1;
-                    break;
-                }
-            }
-            let work = &batch[..settled];
-            let d = last as i64;
-            if work.len() >= cfg.min_parallel {
-                // Gather against the pre-batch labels in parallel, then
-                // commit sequentially in batch order: a candidate beaten
-                // by an earlier batch member fails its strict re-check,
-                // so the final labels/preds equal sequential processing.
-                let dist = &self.dist;
-                let proposals: Vec<Vec<(u32, i64, u32)>> = par_map_with(cfg, work.len(), |idx| {
-                    let u = work[idx] as usize;
-                    arcs(u)
-                        .filter(|&(_, v, w)| d + w < dist[v as usize])
-                        .map(|(aid, v, w)| (v, d + w, aid))
-                        .collect()
-                });
-                for plist in proposals {
-                    for (v, nd, aid) in plist {
-                        let v = v as usize;
-                        if nd < self.dist[v] {
-                            self.dist[v] = nd;
-                            self.pred[v] = aid;
-                            buckets[bucket_of(nd as u64, last)].push((nd as u64, v as u32));
-                        }
-                    }
-                }
-            } else {
-                for &u in work {
-                    for (aid, v, w) in arcs(u as usize) {
-                        let v = v as usize;
-                        let nd = d + w;
-                        if nd < self.dist[v] {
-                            self.dist[v] = nd;
-                            self.pred[v] = aid;
-                            buckets[bucket_of(nd as u64, last)].push((nd as u64, v as u32));
-                        }
-                    }
-                }
-            }
-            if stop {
                 return;
             }
         }

@@ -62,7 +62,7 @@ pub use graph::{RelaxOutcome, ShortestPaths, SpfaGraph, SpfaResult, WarmSpfa};
 pub use ilp::{BranchAndBound, IlpOutcome};
 pub use lp::{LpBasis, LpProblem, LpSolution, LpStatus, Pricing, RowKind};
 pub use mcmf::{
-    ArcId, Circulation, CirculationStats, DijkstraStrategy, FlowNetwork, NodeId, Transportation,
+    ArcId, Circulation, CirculationStats, FlowNetwork, NodeId, Transportation,
     TransportationInfeasible, TransportationStats,
 };
 pub use par::{default_max_threads, par_map, par_map_with, ParConfig};

@@ -37,14 +37,11 @@
 //! potentials) runs on the shared SPFA kernel in [`crate::graph`], and the
 //! Dijkstra passes of the successive-shortest-path methods run on the
 //! generic [`crate::graph::Dijkstra`] kernel — [`FlowNetwork`] with `f64`
-//! reduced costs on the sequential-heap strategy, [`Circulation`] with
-//! exact `i64` reduced costs on either the sequential or the
-//! parallel-bucketed strategy (see [`DijkstraStrategy`]).
+//! reduced costs, [`Circulation`] and [`Transportation`] with exact `i64`
+//! reduced costs.
 
 use crate::graph::{Dijkstra, RelaxOutcome, SettleControl, Source, SpfaGraph, WarmSpfa, NO_PRED};
-use crate::par::{par_chunk_map, par_map_with, ParConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 /// Node handle in a [`FlowNetwork`].
@@ -161,7 +158,7 @@ impl FlowNetwork {
         let mut dij = Dijkstra::<f64>::new(n);
 
         while total_flow < target {
-            // Dijkstra on reduced costs (sequential-heap strategy).
+            // Dijkstra on reduced costs.
             {
                 let (arcs, adj, pot) = (&self.arcs, &self.adj, &potential);
                 dij.run(
@@ -282,8 +279,7 @@ impl FlowNetwork {
         }
         // Phase 2: all residual arcs now cost ≥ 0, so zero potentials are
         // valid and each round is a multi-source Dijkstra from the excess
-        // nodes to the nearest deficit on reduced costs
-        // (sequential-heap strategy of the shared kernel).
+        // nodes to the nearest deficit on reduced costs (shared kernel).
         let mut potential = vec![0.0f64; n];
         let mut dij = Dijkstra::<f64>::new(n);
         while excess.iter().any(|&e| e > 0) {
@@ -526,25 +522,6 @@ fn admissible_blocking_flow(
     pushed
 }
 
-/// Which shared-kernel Dijkstra strategy [`Circulation::solve`] uses for
-/// its phase-2 label passes. Both strategies produce bit-identical
-/// potentials, flows, and canonical distances — the choice is purely a
-/// performance knob (see [`crate::graph::Dijkstra::run_bucketed`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DijkstraStrategy {
-    /// Bucketed when the machine offers more than one worker thread (per
-    /// [`crate::par::default_max_threads`]) *and* the instance has at
-    /// least [`Circulation::AUTO_BUCKETED_MIN_PAIRS`] pairs; sequential
-    /// otherwise — the batch machinery only pays for itself when batches
-    /// actually fan out.
-    #[default]
-    Auto,
-    /// Sequential binary heap.
-    Sequential,
-    /// Parallel bucket-based radix queue.
-    Bucketed,
-}
-
 /// Which min-cost-circulation algorithm [`Circulation::solve`] runs.
 ///
 /// Both backends terminate at an *exactly* optimal integer circulation, and
@@ -555,9 +532,6 @@ pub enum DijkstraStrategy {
 /// * [`Self::SuccessiveShortestPaths`] pays per augmenting path; on
 ///   near-unique 2^40-quantized distances rounds ≈ paths, which caps it on
 ///   large cold instances.
-/// * [`Self::CostScaling`] is a Goldberg–Tarjan ε-scaling push-relabel
-///   engine whose work is bounded by scaling levels × discharge sweeps —
-///   it never pays per path.
 /// * [`Self::QuantLadder`] runs the same SSP machinery through a
 ///   coarse-to-fine ladder of cost quantizations: coarse levels have
 ///   plateau-rich distances (bulk augmentation serves many deficits per
@@ -575,8 +549,7 @@ pub enum CirculationBackend {
     /// (see [`effective_backend`]). Currently the quantization ladder:
     /// it shares the SSP warm path exactly and won the cold solves on
     /// every measured suite and route in interleaved A/B (1.1–1.3×
-    /// stage-4 wall clock, 29–41% fewer Dijkstra rounds), while cost
-    /// scaling lands 1.7–3× behind SSP at every size (see
+    /// stage-4 wall clock, 29–41% fewer Dijkstra rounds; see
     /// EXPERIMENTS.md). The variant exists so the policy can change
     /// with evidence without touching any caller.
     #[default]
@@ -584,8 +557,6 @@ pub enum CirculationBackend {
     /// Saturate-and-correct with multi-source Dijkstra rounds (the PR-5
     /// engine).
     SuccessiveShortestPaths,
-    /// Exact integer ε-scaling push-relabel over the same residual arrays.
-    CostScaling,
     /// Coarse-to-fine quantization ladder of warm SSP repairs on cold
     /// solves (effective 4-quantization → exact, see [`LADDER_SHIFTS`])
     /// with wide full-settle plateau rounds, plus converged-subgraph
@@ -595,8 +566,8 @@ pub enum CirculationBackend {
 }
 
 /// Every name [`parse_backend`] accepts, for error listings.
-pub const BACKEND_NAMES: &str = "auto, ssp / successive_shortest_paths, \
-     cost_scaling / cost-scaling / cs, quant_ladder / quant-ladder / ql";
+pub const BACKEND_NAMES: &str =
+    "auto, ssp / successive_shortest_paths, quant_ladder / quant-ladder / ql";
 
 /// Parses a backend name as accepted by the `ROTARY_MCMF_BACKEND`
 /// environment variable and the `tables --backend` flag. Unknown names
@@ -605,7 +576,6 @@ pub fn parse_backend(name: &str) -> Result<CirculationBackend, String> {
     match name.trim().to_ascii_lowercase().as_str() {
         "auto" => Ok(CirculationBackend::Auto),
         "ssp" | "successive_shortest_paths" => Ok(CirculationBackend::SuccessiveShortestPaths),
-        "cost_scaling" | "cost-scaling" | "cs" => Ok(CirculationBackend::CostScaling),
         "quant_ladder" | "quant-ladder" | "ql" => Ok(CirculationBackend::QuantLadder),
         other => Err(format!("unknown circulation backend `{other}`; valid: {BACKEND_NAMES}")),
     }
@@ -674,11 +644,11 @@ const LADDER_SHIFTS: [u32; 2] = [38, 0];
 ///
 /// * **Primal-dual blocking-flow rounds** — each round runs one
 ///   multi-source Dijkstra (from all excess nodes, on reduced costs, via
-///   the shared [`Dijkstra`] kernel — sequential or parallel-bucketed per
-///   [`DijkstraStrategy`]) that stops as soon as the settled deficits can
-///   absorb the outstanding excess, applies the capped potential update
-///   `π_v += min(dist_v, d_max)` (where `d_max` is the stopping distance;
-///   it keeps every residual reduced cost non-negative), and then serves
+///   the shared [`Dijkstra`] kernel) that stops as soon as the settled
+///   deficits can absorb the outstanding excess, applies the capped
+///   potential update `π_v += min(dist_v, d_max)` (where `d_max` is the
+///   stopping distance; it keeps every residual reduced cost
+///   non-negative), and then serves
 ///   the settled deficits along their shortest-path trees at O(path) per
 ///   push. Only when tree pushes collide on shared saturated arcs does a
 ///   *blocking flow* run over the admissible (reduced-cost-zero)
@@ -753,15 +723,11 @@ pub struct Circulation {
     /// [`Self::canonical_distances`] (arc id = slot id; disabled slots
     /// return [`i64::MAX`]).
     canon: WarmSpfa<i64>,
-    strategy: DijkstraStrategy,
     backend: CirculationBackend,
     /// Label of the engine variant the last [`Self::solve`] actually ran
-    /// (`"ssp-sequential"`, `"ssp-bucketed"`, or `"cost-scaling"`) —
-    /// telemetry for A/B attribution.
+    /// (`"ssp-sequential"` or `"quant-ladder"`) — telemetry for A/B
+    /// attribution.
     label: &'static str,
-    /// Cost-scaling scratch, allocated on the first cost-scaling solve so
-    /// SSP-only users pay nothing.
-    cs: Option<Box<CostScaling>>,
     /// Per-slot costs at the quantization-ladder level currently being
     /// routed (empty unless the ladder backend ran a coarse level).
     lcost: Vec<i64>,
@@ -783,56 +749,6 @@ pub struct Circulation {
     /// Dedup mark while collecting the tree roots of a round's served
     /// deficits (cleared after each round).
     root_seen: Vec<bool>,
-}
-
-/// Scratch state of the cost-scaling push-relabel backend.
-///
-/// Costs are scaled internally by `alpha = n + 1` (held in `i128`: the
-/// 2^40-quantized costs are already ~2^43, so scaled reduced costs and the
-/// prices that accumulate them overflow `i64` on large instances). A
-/// 1-optimal flow w.r.t. the scaled costs is `1/(n + 1)`-optimal w.r.t.
-/// the originals, so every residual cycle has original cost > −1, hence
-/// ≥ 0 — exact optimality, same as the SSP backend.
-///
-/// No price state persists between solves: each solve ends by storing the
-/// *canonical* virtual-source labels into [`Circulation::potential`], which
-/// certify `cost + π_u − π_v ≥ 0` on every residual arc exactly. The next
-/// warm solve (either backend) starts from those, so ε restarts at the
-/// maximum violation introduced by the rebind delta — the "previous
-/// round's prices as starting potential" reuse, with seamless backend
-/// switching for free.
-#[derive(Debug, Clone)]
-struct CostScaling {
-    /// Price scale factor `n + 1`.
-    alpha: i128,
-    /// Per-slot scaled cost `alpha · cost[a]`, rebuilt each solve.
-    scaled: Vec<i128>,
-    /// Per-node price (scaled-cost potential) during a solve.
-    price: Vec<i128>,
-    /// Per-node current-arc cursor of the discharge sweep.
-    cur: Vec<u32>,
-    /// FIFO queue of active (positive-excess) nodes.
-    queue: VecDeque<u32>,
-    in_queue: Vec<bool>,
-    /// Price-refinement SPFA over the residual slots in scaled costs
-    /// (arc id = slot id, same topology as [`Circulation::canon`]).
-    spfa: WarmSpfa<i128>,
-}
-
-impl CostScaling {
-    fn new(n: usize, heads: &[u32]) -> Self {
-        let slot_arcs: Vec<(usize, usize)> =
-            (0..heads.len()).map(|a| (heads[a ^ 1] as usize, heads[a] as usize)).collect();
-        Self {
-            alpha: n as i128 + 1,
-            scaled: Vec::new(),
-            price: vec![0; n],
-            cur: vec![0; n],
-            queue: VecDeque::new(),
-            in_queue: vec![false; n],
-            spfa: WarmSpfa::new(n, &slot_arcs),
-        }
-    }
 }
 
 impl Circulation {
@@ -879,10 +795,8 @@ impl Circulation {
             stats: CirculationStats::default(),
             dij: Dijkstra::new(n),
             canon: WarmSpfa::new(n, &slot_arcs),
-            strategy: DijkstraStrategy::default(),
             backend: CirculationBackend::default(),
             label: "",
-            cs: None,
             lcost: Vec::new(),
             seeded: false,
             changed: Vec::new(),
@@ -896,16 +810,6 @@ impl Circulation {
         }
     }
 
-    /// Pair count at and above which [`DijkstraStrategy::Auto`] picks the
-    /// bucketed strategy (given more than one worker thread).
-    pub const AUTO_BUCKETED_MIN_PAIRS: usize = 4096;
-
-    /// Overrides the phase-2 Dijkstra strategy (defaults to
-    /// [`DijkstraStrategy::Auto`]). Results are bit-identical either way.
-    pub fn set_strategy(&mut self, strategy: DijkstraStrategy) {
-        self.strategy = strategy;
-    }
-
     /// Selects the circulation backend (defaults to
     /// [`CirculationBackend::Auto`]); the `ROTARY_MCMF_BACKEND` environment
     /// variable overrides this process-wide. Results are byte-identical
@@ -915,33 +819,15 @@ impl Circulation {
     }
 
     /// Label of the engine variant the last [`Self::solve`] ran:
-    /// `"ssp-sequential"`, `"ssp-bucketed"`, or `"cost-scaling"` (empty
-    /// before the first solve).
+    /// `"ssp-sequential"` or `"quant-ladder"` (empty before the first
+    /// solve).
     pub fn backend_label(&self) -> &'static str {
         self.label
     }
 
-    /// Resolves [`DijkstraStrategy::Auto`] for this instance.
-    fn use_bucketed(&self) -> bool {
-        match self.strategy {
-            DijkstraStrategy::Sequential => false,
-            DijkstraStrategy::Bucketed => true,
-            DijkstraStrategy::Auto => {
-                crate::par::default_max_threads() > 1
-                    && self.num_pairs() >= Self::AUTO_BUCKETED_MIN_PAIRS
-            }
-        }
-    }
-
-    /// Resolves the effective backend: env override first, then the
-    /// configured value. `Auto` resolves to the quantization ladder on
-    /// current measurements (see [`effective_backend`]); cost scaling
-    /// is an explicit opt-in.
-    fn use_cost_scaling(&self) -> bool {
-        matches!(effective_backend(self.backend), CirculationBackend::CostScaling)
-    }
-
-    /// Whether [`Self::solve`] should run the quantization ladder.
+    /// Whether [`Self::solve`] should run the quantization ladder: the
+    /// env override first, then the configured value, with `Auto`
+    /// resolved by [`effective_backend`].
     fn use_quant_ladder(&self) -> bool {
         matches!(effective_backend(self.backend), CirculationBackend::QuantLadder)
     }
@@ -1061,21 +947,15 @@ impl Circulation {
             }
         }
         self.stats.delta_pairs = self.changed.len();
-        // Backend dispatch. All paths start from the same rebound state
+        // Backend dispatch. Both paths start from the same rebound state
         // (installed caps/costs, carried flow clamped, shed imbalances in
         // `excess`) and end at an exactly optimal circulation.
-        if self.use_cost_scaling() {
-            self.label = "cost-scaling";
-            self.seeded = false;
-            self.solve_cost_scaling();
-            return self.stats;
-        }
         if self.use_quant_ladder() {
             self.label = "quant-ladder";
             self.solve_quant_ladder(warm);
             return self.stats;
         }
-        self.label = if self.use_bucketed() { "ssp-bucketed" } else { "ssp-sequential" };
+        self.label = "ssp-sequential";
         self.saturate_phase(warm, false);
         self.route_excess();
         self.stats
@@ -1206,8 +1086,6 @@ impl Circulation {
     /// exact distances, so the wide scan would be flat overhead).
     fn route_excess_on(&mut self, coarse: bool, wide_roots: bool) {
         let mut total: i64 = self.excess.iter().filter(|&&e| e > 0).sum();
-        let bucketed = self.use_bucketed();
-        let cfg = ParConfig::default();
         let mut served: Vec<u32> = Vec::new();
         let mut roots: Vec<u32> = Vec::new();
         while total > 0 {
@@ -1218,8 +1096,7 @@ impl Circulation {
             // unreached by) this round keep the reduced-cost invariant.
             // Every unsettled node's tentative label is ≥ d_max when the
             // pass stops, so `min(dist, d_max)` clamps all of them to
-            // d_max — which also makes the update independent of the
-            // strategy's settle order within the stopping level.
+            // d_max.
             let mut d_max = 0i64;
             let mut served_cap = 0i64;
             served.clear();
@@ -1263,11 +1140,7 @@ impl Circulation {
                     }
                     SettleControl::Continue
                 };
-                if bucketed {
-                    dij.run_bucketed(sources, arcs, settle, &cfg);
-                } else {
-                    dij.run(sources, 0, arcs, settle);
-                }
+                dij.run(sources, 0, arcs, settle);
             }
             if served.is_empty() {
                 // Unreachable for well-formed inputs (the twin of every
@@ -1516,242 +1389,6 @@ impl Circulation {
             self.route_excess_on(coarse, true);
         }
         self.seeded = false;
-    }
-
-    /// The cost-scaling push-relabel backend (Goldberg–Tarjan ε-scaling).
-    ///
-    /// Runs after the shared warm-rebind preamble of [`Self::solve`]:
-    /// caps/costs are installed, carried flow is clamped, and any shed flow
-    /// sits in `excess`. Prices start at `alpha · potential` — the carried
-    /// potentials certify `cost + π_u − π_v ≥ 0` exactly on every
-    /// *unchanged* residual arc, so the initial ε is the largest violation
-    /// among the rebind delta (0 on a duplicate solve, which returns
-    /// immediately). Each ε level runs one [`Self::cs_refine`] pass unless
-    /// a budgeted price-refinement SPFA proves the current flow already
-    /// ε-optimal; ε halves until the pass at ε = 1, whose result is
-    /// `1/(n + 1)`-optimal in original costs — i.e. exactly optimal.
-    ///
-    /// Ends by storing the canonical virtual-source labels into
-    /// `potential` (also an optimality self-check: a negative residual
-    /// cycle panics), so subsequent warm solves of either backend start
-    /// from an exact certificate.
-    fn solve_cost_scaling(&mut self) {
-        let n = self.n;
-        let m = self.heads.len();
-        let mut cs = match self.cs.take() {
-            Some(cs) => cs,
-            None => Box::new(CostScaling::new(n, &self.heads)),
-        };
-        let cfg = ParConfig::fine_grained();
-        let alpha = cs.alpha;
-        {
-            let cost = &self.cost;
-            cs.scaled = par_map_with(&cfg, m, |a| i128::from(cost[a]) * alpha);
-        }
-        for (price, &p) in cs.price.iter_mut().zip(&self.potential) {
-            *price = i128::from(p) * alpha;
-        }
-        // ε_init = the largest scaled reduced-cost violation (chunked
-        // parallel max-reduction; order-independent, so deterministic).
-        let eps_init = {
-            let (heads, cap) = (&self.heads, &self.cap);
-            let (scaled, price) = (&cs.scaled, &cs.price);
-            par_chunk_map(&cfg, m, 4096, |r| {
-                let mut worst = 0i128;
-                for a in r {
-                    if cap[a] > 0 {
-                        let u = heads[a ^ 1] as usize;
-                        let v = heads[a] as usize;
-                        let rc = scaled[a] + price[u] - price[v];
-                        if -rc > worst {
-                            worst = -rc;
-                        }
-                    }
-                }
-                worst
-            })
-            .into_iter()
-            .max()
-            .unwrap_or(0)
-        };
-        let has_excess = self.excess.iter().any(|&e| e != 0);
-        if eps_init == 0 && !has_excess {
-            // Duplicate solve: the carried flow and potentials already
-            // certify exact optimality of the rebound problem.
-            self.cs = Some(cs);
-            return;
-        }
-        // ε divides by a CS2-style aggressive factor rather than the
-        // textbook 2: correctness never depends on the schedule (every
-        // refine restores ε-optimality from arbitrary prices, and the
-        // final ε = 1 pass certifies exactness), but each level pays a
-        // full-arc saturation scan plus a price-refinement SPFA, and at
-        // the 2^40 cost quantization × α ≈ n price scale the halving
-        // schedule walks ~50 levels — the scan overhead dwarfs the extra
-        // pushes a steeper schedule causes.
-        const CS_SCALE_FACTOR: i128 = 16;
-        // With all excess zero the flow is ε_init-optimal, so the first
-        // refine can start a level down; shed excess needs at least one
-        // refine at the certified level to restore feasibility.
-        let mut eps =
-            if has_excess { eps_init.max(1) } else { (eps_init / CS_SCALE_FACTOR).max(1) };
-        let mut excess_zero = !has_excess;
-        loop {
-            let skipped = excess_zero && Self::cs_price_refine(&mut cs, &self.cap, eps, 4 * n + m);
-            if !skipped {
-                self.cs_refine(&mut cs, eps);
-                excess_zero = true;
-            }
-            if eps == 1 {
-                break;
-            }
-            eps = (eps / CS_SCALE_FACTOR).max(1);
-        }
-        debug_assert!(self.excess.iter().all(|&e| e == 0));
-        // Refresh the carried potentials to the canonical labels of the
-        // now-optimal residual graph (doubles as the optimality check).
-        let Self { canon, cap, cost, potential, .. } = self;
-        canon.reset_zero();
-        match canon.relax(|a| if cap[a] > 0 { cost[a] } else { i64::MAX }, 0) {
-            RelaxOutcome::Converged => potential.copy_from_slice(canon.dist()),
-            RelaxOutcome::NegativeCycle(_) => {
-                panic!("cost scaling left a negative residual cycle")
-            }
-        }
-        self.cs = Some(cs);
-    }
-
-    /// Attempts to certify the current flow ε-optimal without a refine
-    /// pass: a budgeted SPFA over the residual slots with weights
-    /// `scaled + ε`, seeded from the current prices. Convergence yields
-    /// labels with `scaled(a) + ε + p_u − p_v ≥ 0` on every residual arc —
-    /// an ε-optimality certificate — which become the new prices. A
-    /// negative cycle (not ε-optimal) or a blown budget keeps the old
-    /// prices and lets the refine run. Sound only with zero excess.
-    fn cs_price_refine(cs: &mut CostScaling, cap: &[i64], eps: i128, budget: usize) -> bool {
-        let CostScaling { spfa, scaled, price, .. } = &mut *cs;
-        spfa.load_dist(price);
-        match spfa.relax_budgeted(
-            |a| if cap[a] > 0 { scaled[a] + eps } else { i128::MAX },
-            0,
-            budget,
-        ) {
-            Some(RelaxOutcome::Converged) => {
-                price.copy_from_slice(spfa.dist());
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// One refine pass: makes the flow ε-optimal and excess-free from any
-    /// starting pseudoflow whose prices it may violate arbitrarily.
-    ///
-    /// (a) Saturates every residual arc with negative scaled reduced cost
-    /// (parallel chunked gather over the slot array, sequential in-order
-    /// apply — a slot's verdict depends only on prices and its own
-    /// capacity, and twins can't both be negative, so the snapshot scan is
-    /// complete). The flow is now 0-optimal at current prices but carries
-    /// excess. (b) FIFO push-relabel discharge: an active node pushes its
-    /// excess over admissible arcs (scaled reduced cost < 0, current-arc
-    /// cursor); when the cursor exhausts, a relabel sets the price to the
-    /// tightest residual bound minus ε (strictly decreasing by ≥ ε,
-    /// creating an admissible arc, preserving ε-optimality) and rewinds
-    /// the cursor. Active nodes drain to zero: excess totals balance, so
-    /// "no positive excess" means "all exactly zero".
-    fn cs_refine(&mut self, cs: &mut CostScaling, eps: i128) {
-        self.stats.rounds += 1;
-        let n = self.n;
-        let m = self.heads.len();
-        let cfg = ParConfig::fine_grained();
-        let sat: Vec<Vec<u32>> = {
-            let (heads, cap) = (&self.heads, &self.cap);
-            let (scaled, price) = (&cs.scaled, &cs.price);
-            par_chunk_map(&cfg, m, 4096, |r| {
-                r.filter(|&a| {
-                    cap[a] > 0 && {
-                        let u = heads[a ^ 1] as usize;
-                        let v = heads[a] as usize;
-                        scaled[a] + price[u] - price[v] < 0
-                    }
-                })
-                .map(|a| a as u32)
-                .collect()
-            })
-        };
-        for chunk in &sat {
-            for &a in chunk {
-                let a = a as usize;
-                let push = self.cap[a];
-                let u = self.heads[a ^ 1] as usize;
-                let v = self.heads[a] as usize;
-                self.cap[a] = 0;
-                self.cap[a ^ 1] += push;
-                self.excess[v] += push;
-                self.excess[u] -= push;
-                self.stats.saturated_arcs += 1;
-            }
-        }
-        cs.queue.clear();
-        for v in 0..n {
-            let active = self.excess[v] > 0;
-            cs.in_queue[v] = active;
-            if active {
-                cs.queue.push_back(v as u32);
-            }
-            cs.cur[v] = self.csr_start[v];
-        }
-        while let Some(v) = cs.queue.pop_front() {
-            let v = v as usize;
-            cs.in_queue[v] = false;
-            while self.excess[v] > 0 {
-                // Advance the cursor to the next admissible arc.
-                let row_end = self.csr_start[v + 1];
-                let mut found = NO_ARC;
-                while cs.cur[v] < row_end {
-                    let a = self.csr_arcs[cs.cur[v] as usize] as usize;
-                    if self.cap[a] > 0 {
-                        let h = self.heads[a] as usize;
-                        if cs.scaled[a] + cs.price[v] - cs.price[h] < 0 {
-                            found = a as u32;
-                            break;
-                        }
-                    }
-                    cs.cur[v] += 1;
-                }
-                if found != NO_ARC {
-                    let a = found as usize;
-                    let h = self.heads[a] as usize;
-                    let amt = self.excess[v].min(self.cap[a]);
-                    self.cap[a] -= amt;
-                    self.cap[a ^ 1] += amt;
-                    self.excess[v] -= amt;
-                    self.excess[h] += amt;
-                    self.stats.correction_paths += 1;
-                    if self.excess[h] > 0 && !cs.in_queue[h] {
-                        cs.in_queue[h] = true;
-                        cs.queue.push_back(h as u32);
-                    }
-                } else {
-                    // Relabel: the tightest residual out-bound minus ε.
-                    // An active node always has a residual out-arc (the
-                    // twin of an arc that carried its inflow).
-                    let row = self.csr_start[v] as usize..self.csr_start[v + 1] as usize;
-                    let mut best: Option<i128> = None;
-                    for &a in &self.csr_arcs[row] {
-                        let a = a as usize;
-                        if self.cap[a] > 0 {
-                            let cand = cs.price[self.heads[a] as usize] - cs.scaled[a];
-                            if best.is_none_or(|b| cand > b) {
-                                best = Some(cand);
-                            }
-                        }
-                    }
-                    cs.price[v] = best.expect("active node with no residual out-arc") - eps;
-                    cs.cur[v] = self.csr_start[v];
-                }
-            }
-        }
     }
 
     /// Shortest integer distances from the virtual source (every node at 0)
@@ -2022,85 +1659,46 @@ mod tests {
     }
 
     #[test]
-    fn cost_scaling_matches_ssp_on_random_instances() {
-        for seed in 0..12 {
-            let (pairs, caps, costs) = random_instance(9, 24, 0xC0FFEE + seed);
-            let mut ssp = Circulation::new(9, &pairs);
-            ssp.set_backend(CirculationBackend::SuccessiveShortestPaths);
-            ssp.solve(&caps, &costs, false);
-            let mut cs = Circulation::new(9, &pairs);
-            cs.set_backend(CirculationBackend::CostScaling);
-            cs.solve(&caps, &costs, false);
-            assert_eq!(cs.total_cost(), ssp.total_cost(), "seed {seed}: backend costs differ");
-            assert_eq!(
-                cs.canonical_distances(),
-                ssp.canonical_distances(),
-                "seed {seed}: canonical duals differ"
-            );
-            assert_eq!(cs.backend_label(), "cost-scaling");
-            assert!(ssp.backend_label().starts_with("ssp-"));
-            assert_canonical_certificate(&mut cs);
-        }
-    }
-
-    #[test]
-    fn cost_scaling_warm_resolve_matches_cold_ssp() {
-        let (pairs, caps, costs) = random_instance(11, 30, 0xBEEF);
-        let mut warm = Circulation::new(11, &pairs);
-        warm.set_backend(CirculationBackend::CostScaling);
-        warm.solve(&caps, &costs, false);
-        // Antisymmetric-style perturbation sequence: warm cost-scaling
-        // re-solves must track a fresh cold SSP engine bit for bit.
-        let mut costs2 = costs.clone();
-        for step in 0..4 {
-            costs2[3 + step] += 5 - 2 * step as i64;
-            costs2[12 - step] = -costs2[12 - step];
-            let stats = warm.solve(&caps, &costs2, true);
-            let mut cold = Circulation::new(11, &pairs);
-            cold.solve(&caps, &costs2, false);
-            assert_eq!(warm.total_cost(), cold.total_cost(), "step {step}");
-            assert_eq!(warm.canonical_distances(), cold.canonical_distances(), "step {step}");
-            assert!(stats.delta_pairs > 0 && stats.delta_pairs <= 2, "step {step}");
-            assert_canonical_certificate(&mut warm);
-        }
-    }
-
-    #[test]
-    fn duplicate_cost_scaling_solve_short_circuits() {
+    fn duplicate_warm_solve_short_circuits() {
         let (pairs, caps, costs) = random_instance(10, 26, 0xFACE);
-        let mut net = Circulation::new(10, &pairs);
-        net.set_backend(CirculationBackend::CostScaling);
-        net.solve(&caps, &costs, false);
-        let cost = net.total_cost();
-        let d = net.canonical_distances();
-        // Identical warm re-solve: the carried canonical potentials prove
-        // optimality outright — no refine pass, no pushes, no saturation.
-        let stats = net.solve(&caps, &costs, true);
-        assert_eq!(stats.rounds, 0, "duplicate solve must skip every refine");
-        assert_eq!(stats.correction_paths, 0);
-        assert_eq!(stats.saturated_arcs, 0);
-        assert_eq!(stats.delta_pairs, 0);
-        assert_eq!(net.total_cost(), cost);
-        assert_eq!(net.canonical_distances(), d);
+        for backend in
+            [CirculationBackend::SuccessiveShortestPaths, CirculationBackend::QuantLadder]
+        {
+            let mut net = Circulation::new(10, &pairs);
+            net.set_backend(backend);
+            net.solve(&caps, &costs, false);
+            let cost = net.total_cost();
+            let d = net.canonical_distances();
+            // Identical warm re-solve: no pair changed, so the carried
+            // potentials prove optimality outright — no rounds, no
+            // pushes, no saturation.
+            let stats = net.solve(&caps, &costs, true);
+            assert_eq!(stats.rounds, 0, "{backend:?}: duplicate solve must skip every round");
+            assert_eq!(stats.correction_paths, 0, "{backend:?}");
+            assert_eq!(stats.saturated_arcs, 0, "{backend:?}");
+            assert_eq!(stats.delta_pairs, 0, "{backend:?}");
+            assert_eq!(net.total_cost(), cost, "{backend:?}");
+            assert_eq!(net.canonical_distances(), d, "{backend:?}");
+        }
     }
 
     #[test]
     fn backend_switching_mid_sequence_stays_exact() {
-        // SSP warm state feeds a cost-scaling solve and vice versa: the
-        // carried potentials certify `rc ≥ 0` exactly in both directions.
-        let (pairs, caps, costs) = random_instance(12, 32, 0xABBA);
+        // Ladder state feeds a warm SSP solve and vice versa: the carried
+        // potentials certify `rc ≥ 0` exactly in both directions.
+        let (pairs, caps, costs) = scaled_instance(12, 32, 0xABBA);
         let mut net = Circulation::new(12, &pairs);
-        net.set_backend(CirculationBackend::SuccessiveShortestPaths);
+        net.set_backend(CirculationBackend::QuantLadder);
         net.solve(&caps, &costs, false);
         let mut costs2 = costs.clone();
         costs2[5] = -costs2[5] - 3;
-        net.set_backend(CirculationBackend::CostScaling);
+        net.set_backend(CirculationBackend::SuccessiveShortestPaths);
         net.solve(&caps, &costs2, true);
         let mut cold = Circulation::new(12, &pairs);
         cold.solve(&caps, &costs2, false);
         assert_eq!(net.total_cost(), cold.total_cost());
         assert_eq!(net.canonical_distances(), cold.canonical_distances());
-        net.set_backend(CirculationBackend::SuccessiveShortestPaths);
+        net.set_backend(CirculationBackend::QuantLadder);
         let mut costs3 = costs2.clone();
         costs3[9] += 7;
         net.solve(&caps, &costs3, true);
@@ -2112,23 +1710,11 @@ mod tests {
     }
 
     #[test]
-    fn cost_scaling_cancels_negative_cycle_exactly() {
-        let mut net = Circulation::new(3, &[(0, 1), (1, 2), (2, 0)]);
-        net.set_backend(CirculationBackend::CostScaling);
-        net.solve(&[2, 2, 2], &[-1, -1, -1], false);
-        assert_eq!(net.total_cost(), -6);
-        assert_canonical_certificate(&mut net);
-    }
-
-    #[test]
     fn parse_backend_accepts_aliases_and_rejects_unknown() {
         for (name, want) in [
             ("auto", CirculationBackend::Auto),
             ("ssp", CirculationBackend::SuccessiveShortestPaths),
             ("successive_shortest_paths", CirculationBackend::SuccessiveShortestPaths),
-            ("cost_scaling", CirculationBackend::CostScaling),
-            ("cost-scaling", CirculationBackend::CostScaling),
-            ("cs", CirculationBackend::CostScaling),
             ("quant_ladder", CirculationBackend::QuantLadder),
             ("quant-ladder", CirculationBackend::QuantLadder),
             ("ql", CirculationBackend::QuantLadder),
@@ -2138,7 +1724,7 @@ mod tests {
         }
         let err = parse_backend("quantum-leap").unwrap_err();
         assert!(err.contains("quantum-leap"), "error names the bad value: {err}");
-        for listed in ["auto", "ssp", "cost_scaling", "quant_ladder"] {
+        for listed in ["auto", "ssp", "quant_ladder"] {
             assert!(err.contains(listed), "error lists `{listed}`: {err}");
         }
     }
@@ -2450,7 +2036,6 @@ pub struct Transportation {
     excess: Vec<i64>,
     dij: Dijkstra<i64>,
     canon: WarmSpfa<i64>,
-    strategy: DijkstraStrategy,
     stats: TransportationStats,
     label: &'static str,
     changed: Vec<u32>,
@@ -2494,7 +2079,6 @@ impl Transportation {
             excess: vec![0; n],
             dij: Dijkstra::new(n),
             canon: WarmSpfa::new(n, &[]),
-            strategy: DijkstraStrategy::default(),
             stats: TransportationStats::default(),
             label: "",
             changed: Vec::new(),
@@ -2507,13 +2091,6 @@ impl Transportation {
             assignment: Vec::new(),
             total_cost: 0,
         }
-    }
-
-    /// Overrides the phase-2 Dijkstra strategy (defaults to
-    /// [`DijkstraStrategy::Auto`], resolved exactly like
-    /// [`Circulation`]). Results are bit-identical either way.
-    pub fn set_strategy(&mut self, strategy: DijkstraStrategy) {
-        self.strategy = strategy;
     }
 
     /// `"tp-cold"` or `"tp-warm"` — how the last [`Self::solve`] started
@@ -2799,17 +2376,6 @@ impl Transportation {
         }
     }
 
-    fn use_bucketed(&self) -> bool {
-        match self.strategy {
-            DijkstraStrategy::Sequential => false,
-            DijkstraStrategy::Bucketed => true,
-            DijkstraStrategy::Auto => {
-                crate::par::default_max_threads() > 1
-                    && self.heads.len() / 2 >= Circulation::AUTO_BUCKETED_MIN_PAIRS
-            }
-        }
-    }
-
     /// Phase 2: route all node imbalances back at minimum cost. Each
     /// round is one multi-source Dijkstra on the shared kernel, with the
     /// orientation picked per round from the imbalance shape:
@@ -2838,8 +2404,6 @@ impl Transportation {
     fn route_excess(&mut self) -> Result<(), TransportationInfeasible> {
         let mut total: i64 = self.excess.iter().filter(|&&e| e > 0).sum();
         debug_assert_eq!(self.excess.iter().sum::<i64>(), 0, "imbalance must net out");
-        let bucketed = self.use_bucketed();
-        let cfg = ParConfig::default();
         let mut served: Vec<u32> = Vec::new();
         let mut roots: Vec<u32> = Vec::new();
         while total > 0 {
@@ -2888,11 +2452,7 @@ impl Transportation {
                         }
                         SettleControl::Continue
                     };
-                    if bucketed {
-                        dij.run_bucketed(sources, arcs, settle, &cfg);
-                    } else {
-                        dij.run(sources, 0, arcs, settle);
-                    }
+                    dij.run(sources, 0, arcs, settle);
                 } else {
                     let sources =
                         excess.iter().enumerate().filter_map(|(v, &e)| (e < 0).then_some(v));
@@ -2925,11 +2485,7 @@ impl Transportation {
                         }
                         SettleControl::Continue
                     };
-                    if bucketed {
-                        dij.run_bucketed(sources, arcs, settle, &cfg);
-                    } else {
-                        dij.run(sources, 0, arcs, settle);
-                    }
+                    dij.run(sources, 0, arcs, settle);
                 }
             }
             if served.is_empty() {
@@ -3550,24 +3106,5 @@ mod transportation_tests {
         cold2.solve(&drifted, &caps, false).expect("feasible");
         assert_eq!(warm.assignment(), cold2.assignment());
         assert_eq!(warm.total_cost(), cold2.total_cost());
-    }
-
-    #[test]
-    fn strategies_extract_identical_assignments() {
-        let (cands, caps, cost) = (99..199u64)
-            .find_map(|seed| {
-                let (cands, caps) = random_instance(64, 8, seed);
-                let cost = oracle(&cands, &caps)?;
-                Some((cands, caps, cost))
-            })
-            .expect("some seed in range must be feasible");
-        let mut seq = Transportation::new(64, 8);
-        seq.set_strategy(DijkstraStrategy::Sequential);
-        seq.solve(&cands, &caps, false).expect("feasible");
-        let mut buck = Transportation::new(64, 8);
-        buck.set_strategy(DijkstraStrategy::Bucketed);
-        buck.solve(&cands, &caps, false).expect("feasible");
-        assert_eq!(seq.assignment(), buck.assignment());
-        check_valid(&seq, &cands, &caps, cost);
     }
 }

@@ -44,9 +44,8 @@ impl Default for ParConfig {
 /// cached for the process lifetime.
 ///
 /// Determinism does not depend on this value: every parallel kernel in
-/// this crate commits chunked results position-stably (and the bucketed
-/// Dijkstra re-checks candidates sequentially in batch order), so the
-/// output is bit-identical for any thread count ≥ 1.
+/// this crate commits chunked results position-stably, so the output is
+/// bit-identical for any thread count ≥ 1.
 pub fn default_max_threads() -> usize {
     static CAP: OnceLock<usize> = OnceLock::new();
     *CAP.get_or_init(|| {
@@ -132,8 +131,8 @@ where
 
 /// Maps `f` over contiguous `chunk`-sized index ranges covering `0..len`,
 /// returning one result per range in range order — the chunked flavor of
-/// [`par_map_with`] for reductions and gathers over large flat arrays
-/// (e.g. the circulation backends' residual-slot scans). Determinism is
+/// [`par_map_with`] for reductions and gathers over large flat arrays.
+/// Determinism is
 /// inherited: the ranges partition `0..len` identically for any thread
 /// count, and results commit position-stably.
 ///

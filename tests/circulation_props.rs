@@ -18,7 +18,7 @@ use rotary::core::skew::{weighted_schedule_ctx, SkewContext};
 use rotary::netlist::geom::{Point, Rect};
 use rotary::netlist::{Cell, CellKind, Circuit, Net};
 use rotary::solver::lp::{LpProblem, LpStatus, RowKind};
-use rotary::solver::mcmf::{Circulation, CirculationBackend, DijkstraStrategy, FlowNetwork};
+use rotary::solver::mcmf::{Circulation, CirculationBackend, FlowNetwork};
 use rotary::timing::{SequentialGraph, Technology};
 
 /// Fixed-point scale matching the engine integration in `core::skew`.
@@ -160,90 +160,6 @@ proptest! {
         );
     }
 
-    /// The sequential heap and the parallel bucketed radix queue are the
-    /// same algorithm under the shared relaxation kernel: solving the same
-    /// instance — cold, then warm across a perturbed re-solve — must leave
-    /// bit-identical flows, potentials, total cost, and canonical
-    /// distances regardless of strategy. (`Bucketed` is forced explicitly;
-    /// `Auto` would fall back to the heap on a single-core machine.)
-    #[test]
-    fn bucketed_dijkstra_is_bit_identical_to_sequential(
-        n in 3usize..7,
-        witness in prop::collection::vec(0.0..2.0f64, 7),
-        raw_edges in prop::collection::vec((0usize..49, 0usize..49, 0.0..1.0f64), 4..16),
-        weight in prop::collection::vec(0i64..8, 7),
-        ideal in prop::collection::vec(0.0..2.0f64, 7),
-        perturb in prop::collection::vec(-0.4..0.4f64, 7),
-    ) {
-        let inst = Instance::build(n, &witness, &raw_edges, &weight, &ideal);
-        let (pairs, caps, costs) = inst.dual_arcs();
-        let qcosts: Vec<i64> = costs.iter().map(|c| (c * COST_SCALE).round() as i64).collect();
-        // A perturbed cost vector for the warm re-solve: nudge each R-arc
-        // pair's ideal, keeping the antisymmetric ±t structure.
-        let mut qcosts2 = qcosts.clone();
-        for (k, &dt) in perturb[..n].iter().enumerate() {
-            let dq = (dt * COST_SCALE).round() as i64;
-            qcosts2[inst.constraints.len() + 2 * k] += dq;
-            qcosts2[inst.constraints.len() + 2 * k + 1] -= dq;
-        }
-
-        let mut seq = Circulation::new(n + 1, &pairs);
-        seq.set_strategy(DijkstraStrategy::Sequential);
-        let mut par = Circulation::new(n + 1, &pairs);
-        par.set_strategy(DijkstraStrategy::Bucketed);
-
-        for (costs, warm) in [(&qcosts, false), (&qcosts2, true)] {
-            seq.solve(&caps, costs, warm);
-            par.solve(&caps, costs, warm);
-            prop_assert_eq!(seq.total_cost(), par.total_cost());
-            prop_assert_eq!(seq.potentials(), par.potentials());
-            for k in 0..pairs.len() {
-                prop_assert_eq!(seq.flow(k), par.flow(k));
-            }
-            prop_assert_eq!(seq.canonical_distances(), par.canonical_distances());
-        }
-    }
-
-    /// The cost-scaling push-relabel backend and the successive-shortest-
-    /// paths backend solve the same quantized problem to the same exact
-    /// optimum: equal total cost and bit-identical canonical distances —
-    /// cold, and warm across an antisymmetric R-arc cost perturbation (the
-    /// shape a phase re-wrap round produces). Flows and internal
-    /// potentials are *not* compared: alternate optimal flows are allowed,
-    /// the canonical-distance recovery is what schedules are built from.
-    #[test]
-    fn cost_scaling_is_bit_identical_to_ssp(
-        n in 3usize..7,
-        witness in prop::collection::vec(0.0..2.0f64, 7),
-        raw_edges in prop::collection::vec((0usize..49, 0usize..49, 0.0..1.0f64), 4..16),
-        weight in prop::collection::vec(0i64..8, 7),
-        ideal in prop::collection::vec(0.0..2.0f64, 7),
-        perturb in prop::collection::vec(-0.4..0.4f64, 7),
-    ) {
-        let inst = Instance::build(n, &witness, &raw_edges, &weight, &ideal);
-        let (pairs, caps, costs) = inst.dual_arcs();
-        let qcosts: Vec<i64> = costs.iter().map(|c| (c * COST_SCALE).round() as i64).collect();
-        let mut qcosts2 = qcosts.clone();
-        for (k, &dt) in perturb[..n].iter().enumerate() {
-            let dq = (dt * COST_SCALE).round() as i64;
-            qcosts2[inst.constraints.len() + 2 * k] += dq;
-            qcosts2[inst.constraints.len() + 2 * k + 1] -= dq;
-        }
-
-        let mut ssp = Circulation::new(n + 1, &pairs);
-        ssp.set_backend(CirculationBackend::SuccessiveShortestPaths);
-        let mut cs = Circulation::new(n + 1, &pairs);
-        cs.set_backend(CirculationBackend::CostScaling);
-
-        for (costs, warm) in [(&qcosts, false), (&qcosts2, true)] {
-            ssp.solve(&caps, costs, warm);
-            cs.solve(&caps, costs, warm);
-            prop_assert_eq!(cs.backend_label(), "cost-scaling");
-            prop_assert_eq!(ssp.total_cost(), cs.total_cost());
-            prop_assert_eq!(ssp.canonical_distances(), cs.canonical_distances());
-        }
-    }
-
     /// The quantization-ladder backend and the direct 2^40 SSP solve land
     /// on the same exact optimum: equal total cost and bit-identical
     /// canonical distances — cold (full ladder), and warm across an
@@ -353,75 +269,6 @@ proptest! {
             prop_assert_eq!(ql.targets.len(), ssp.targets.len());
             for (a, b) in ql.targets.iter().zip(&ssp.targets) {
                 prop_assert!(a.to_bits() == b.to_bits(), "quant-ladder {} vs ssp {}", a, b);
-            }
-        }
-    }
-
-    /// `weighted_schedule_ctx` under a cost-scaling context returns
-    /// bit-identical schedules to a cold SSP context, across a warm
-    /// sequence of perturbed ideal vectors — the backend choice is
-    /// invisible in every quality column.
-    #[test]
-    fn cost_scaling_schedules_match_ssp(
-        n in 4usize..8,
-        cross in prop::collection::vec((0usize..49, 0usize..49), 2..5),
-        base_ideal in prop::collection::vec(0.0..0.9f64, 8),
-        perturb in prop::collection::vec((0usize..49, -0.4..0.4f64), 3..6),
-    ) {
-        let cell = |kind: CellKind| Cell {
-            kind,
-            width: 2.0,
-            height: 8.0,
-            input_cap: 0.004,
-            drive_resistance: 0.4,
-            intrinsic_delay: 0.02,
-        };
-        let mut c = Circuit::new("backendprop", Rect::from_size(2000.0, 2000.0));
-        let ffs: Vec<_> = (0..n)
-            .map(|k| {
-                c.add_cell(
-                    cell(CellKind::FlipFlop),
-                    Point::new(100.0 + 70.0 * k as f64, 100.0 + 40.0 * (k % 3) as f64),
-                )
-            })
-            .collect();
-        let mut edges: Vec<(usize, usize)> = (0..n).map(|k| (k, (k + 1) % n)).collect();
-        edges.extend(cross.iter().map(|&(a, b)| (a % n, b % n)).filter(|(a, b)| a != b));
-        for &(a, b) in &edges {
-            let g = c.add_cell(
-                cell(CellKind::Combinational),
-                Point::new(150.0 + 50.0 * a as f64, 150.0 + 50.0 * b as f64),
-            );
-            c.add_net(Net { driver: ffs[a], sinks: vec![g] });
-            c.add_net(Net { driver: g, sinks: vec![ffs[b]] });
-        }
-        let tech = Technology::default();
-        let graph = SequentialGraph::extract(&c, &tech);
-        if graph.pairs().is_empty() {
-            return Ok(());
-        }
-
-        let mut ideals = vec![base_ideal[..n].to_vec()];
-        for &(at, delta) in &perturb {
-            let mut next = ideals.last().unwrap().clone();
-            next[at % n] += delta;
-            ideals.push(next);
-        }
-        let weight: Vec<f64> = (0..n).map(|i| 0.5 + i as f64).collect();
-
-        let mut cs_ctx = SkewContext::new();
-        cs_ctx.set_circulation_backend(CirculationBackend::CostScaling);
-        for ideal in &ideals {
-            let (cs, cs_stats) =
-                weighted_schedule_ctx(&graph, &tech, ideal, &weight, 0.0, &mut cs_ctx);
-            prop_assert_eq!(cs_stats.backend, Some("cost-scaling"));
-            let mut ssp_ctx = SkewContext::new();
-            ssp_ctx.set_circulation_backend(CirculationBackend::SuccessiveShortestPaths);
-            let (ssp, _) =
-                weighted_schedule_ctx(&graph, &tech, ideal, &weight, 0.0, &mut ssp_ctx);
-            prop_assert_eq!(cs.targets.len(), ssp.targets.len());
-            for (a, b) in cs.targets.iter().zip(&ssp.targets) {
-                prop_assert!(a.to_bits() == b.to_bits(), "cost-scaling {} vs ssp {}", a, b);
             }
         }
     }
