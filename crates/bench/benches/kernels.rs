@@ -12,7 +12,7 @@ use rotary_netlist::geom::Point;
 use rotary_netlist::BenchmarkSuite;
 use rotary_ring::{Ring, RingArray, RingDirection, RingParams};
 use rotary_solver::graph::{Source, SpfaGraph};
-use rotary_solver::lp::{LpProblem, Pricing, RowKind};
+use rotary_solver::lp::{LpProblem, RowKind};
 use rotary_solver::mcmf::{Circulation, CirculationBackend, FlowNetwork, Transportation};
 use rotary_solver::rounding::{greedy_round_loaded, greedy_round_loaded_rescan, LoadedCandidate};
 use rotary_solver::sparse::{CsrMatrix, SparseLu};
@@ -489,30 +489,16 @@ fn rounding_rows(items: usize, bins: usize, k: usize) -> Vec<Vec<LoadedCandidate
 
 fn bench_lp(c: &mut Criterion) {
     let lp = assignment_lp(1463, 49, 9);
-    let mut devex = lp.clone();
-    devex.set_pricing(Pricing::DevexPartial);
-    let mut dantzig = lp;
-    dantzig.set_pricing(Pricing::Dantzig);
-    c.bench_function("lp/simplex_devex_partial_s38417_sized", |b| {
-        b.iter(|| std::hint::black_box(devex.solve()))
-    });
     c.bench_function("lp/simplex_dantzig_full_s38417_sized", |b| {
-        b.iter(|| std::hint::black_box(dantzig.solve()))
+        b.iter(|| std::hint::black_box(lp.solve()))
     });
 
-    // The same comparison on the *real* s38417 relaxation (stage-3
-    // problem at the stage-2 schedule, this file's K = 9 pruning depth).
+    // The same solve on the *real* s38417 relaxation (stage-3 problem at
+    // the stage-2 schedule, this file's K = 9 pruning depth).
     let (costs, _, n_rings) = setup_costs(BenchmarkSuite::S38417);
     let (real, _) = rotary_core::assign::min_max_lp(&costs, n_rings);
-    let mut real_devex = real.clone();
-    real_devex.set_pricing(Pricing::DevexPartial);
-    let mut real_dantzig = real;
-    real_dantzig.set_pricing(Pricing::Dantzig);
-    c.bench_function("lp/simplex_devex_partial_s38417_real", |b| {
-        b.iter(|| std::hint::black_box(real_devex.solve()))
-    });
     c.bench_function("lp/simplex_dantzig_full_s38417_real", |b| {
-        b.iter(|| std::hint::black_box(real_dantzig.solve()))
+        b.iter(|| std::hint::black_box(real.solve()))
     });
 
     let rows = rounding_rows(1463, 49, 6);

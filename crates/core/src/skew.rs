@@ -14,7 +14,7 @@
 //!   dual (the LP's network structure), with `w_i = l_i` as the paper
 //!   suggests.
 
-use rotary_solver::mcmf::{effective_backend, Circulation, CirculationBackend, CirculationStats};
+use rotary_solver::mcmf::{effective_backend, Circulation, CirculationBackend};
 use rotary_solver::{DifferenceSystem, ParametricSystem};
 use rotary_timing::{SequentialGraph, Technology};
 use serde::{Deserialize, Serialize};
@@ -67,7 +67,7 @@ pub struct SkewStats {
     pub affected_vertices: usize,
     /// Dijkstra rounds the weighted dual's circulation ran (the round
     /// histogram's first axis; zero for schedulers without a circulation
-    /// and on memo-replayed probes).
+    /// and on warm re-solves whose rebind changed nothing).
     pub rounds: usize,
     /// Augmenting paths the circulation routed. `paths / rounds` is the
     /// mean bulk-augmentation width; rounds ≈ paths is the near-unique-
@@ -128,9 +128,9 @@ pub struct SkewContext {
     /// (flow + integer potentials), reused while the arc topology matches.
     circulation: Option<CirculationState>,
     /// Which circulation engine the weighted dual should run
-    /// ([`CirculationBackend::Auto`] picks by instance size); applied to
-    /// the leased engine on every call, so a config change takes effect
-    /// even on a warm engine.
+    /// ([`CirculationBackend::Auto`] resolves to the quantization ladder,
+    /// see [`effective_backend`]); applied to the leased engine on every
+    /// call, so a config change takes effect even on a warm engine.
     backend: CirculationBackend,
 }
 
@@ -159,55 +159,7 @@ impl SkewContext {
 struct CirculationState {
     engine: Circulation,
     pairs: Vec<(u32, u32)>,
-    /// Ring of the last few certified solves: caps/costs plus their
-    /// canonical distances, oldest first. Two uses:
-    ///
-    /// * **Exact replay** — a Dinkelbach probe sequence frequently
-    ///   re-evaluates a recent parameter (the re-wrap loop's phase
-    ///   assignments settle and oscillate between a couple of fixed
-    ///   points), and the canonical distances are a pure function of
-    ///   `(pairs, caps, costs)`, so a matching entry answers the probe
-    ///   with no solve at all.
-    /// * **Nearest-neighbor potential seeding** — when no entry matches
-    ///   exactly but one is much closer (fewer differing pairs) to the
-    ///   incoming problem than the engine's carried state, its canonical
-    ///   distances seed the Johnson potentials via
-    ///   [`Circulation::seed_potentials`] (quant-ladder backend only;
-    ///   exactness is unaffected, see there).
-    memo: Vec<MemoEntry>,
-    /// Caps/costs the *engine* last actually solved (memo replays skip
-    /// the engine, so this can lag the newest memo entry). This is the
-    /// baseline both the dropout hint and the seeding distance are
-    /// measured against.
-    solved_caps: Vec<i64>,
-    solved_costs: Vec<i64>,
-    /// Pair indices that may have changed since the engine's last solve —
-    /// the union of caller dropout hints accumulated across memo-replayed
-    /// calls. `None` = unknown (an unhinted call intervened since the
-    /// last solve); hinting resumes after the next engine solve.
-    hint: Option<Vec<u32>>,
 }
-
-/// One certified solve in the [`CirculationState`] memo ring.
-#[derive(Debug, Clone)]
-struct MemoEntry {
-    caps: Vec<i64>,
-    costs: Vec<i64>,
-    dist: Vec<i64>,
-}
-
-/// Memo ring depth: the re-wrap fixed points plus the latest Dinkelbach
-/// probes fit in a handful of entries, and each entry is three
-/// instance-sized vectors — deep rings would cost more in `Vec` clones
-/// than a re-solve.
-const MEMO_RING: usize = 4;
-
-/// A memo entry seeds the potentials only when it is at least this many
-/// times closer (in differing pairs) to the incoming problem than the
-/// engine's carried state: seeding voids the engine's per-pair rebind
-/// certificate and forces a full-slot saturation scan, so a marginal
-/// improvement is a net loss.
-const SEED_ADVANTAGE: usize = 2;
 
 /// Takes the slot's engine and re-targets it at `sys`/`tighten` when the
 /// shape matches (patching only the changed bounds), or builds a fresh
@@ -555,15 +507,15 @@ pub fn weighted_schedule_ctx(
 }
 
 /// [`weighted_schedule_ctx`] with the converged-FF dropout hint of the
-/// phase re-wrap loop: `rewrapped` lists the flip-flop indices whose
-/// `ideal` moved since the previous call on this context, certifying the
-/// rest of the problem — every other flip-flop's parameters and the whole
-/// constraint system (same graph, technology, slack, and weights) — as
-/// byte-identical to that call's. The certified complement is frozen out
+/// phase re-wrap loop: `rewrapped` lists, once each, the flip-flop
+/// indices whose `ideal` moved since the previous call on this context,
+/// certifying the rest of the problem — every other flip-flop's
+/// parameters and the whole constraint system (same graph, technology,
+/// slack, and weights) — as byte-identical to that call's. The certified complement is frozen out
 /// of the circulation's rebind scan ([`Circulation::solve_hinted`];
-/// surfaced as nonzero frozen-pair reuse), and the certificate survives
-/// memo-replayed probes in between. The hint is a pure accelerator:
-/// schedules are byte-identical with or without it.
+/// surfaced as nonzero frozen-pair reuse). The hint applies only on a
+/// warm engine under the quantization-ladder backend, and it is a pure
+/// accelerator: schedules are byte-identical with or without it.
 ///
 /// # Panics
 ///
@@ -656,96 +608,28 @@ fn weighted_schedule_hinted(
     }
     let (mut state, warm) = match ctx.circulation.take() {
         Some(s) if s.pairs == pairs => (s, true),
-        _ => (
-            CirculationState {
-                engine: Circulation::new(n + 1, &pairs),
-                pairs,
-                memo: Vec::new(),
-                solved_caps: Vec::new(),
-                solved_costs: Vec::new(),
-                hint: None,
-            },
-            false,
-        ),
+        _ => (CirculationState { engine: Circulation::new(n + 1, &pairs), pairs }, false),
     };
     state.engine.set_backend(ctx.backend);
-    // Fold the caller's dropout hint into the carried certificate: the
-    // union of hinted pairs since the engine's *last actual solve* stays
-    // valid across memo-replayed probes in between; an unhinted call
-    // makes the delta unknown until the next solve re-anchors it.
-    let n_constraints = sys.constraints().len();
-    match (ff_hint, &mut state.hint) {
-        (Some(rewrapped), Some(pending)) => {
-            for &i in rewrapped {
-                let fwd = (n_constraints + 2 * i as usize) as u32;
-                pending.push(fwd);
-                pending.push(fwd + 1);
-            }
-        }
-        (None, pending) => *pending = None,
-        (Some(_), None) => {}
-    }
-    // The dropout hint and nearest-neighbor seeding ride only the
-    // quantization-ladder backend: both are pure accelerators (results
-    // are byte-identical), but keeping the other backends' solve paths
-    // untouched keeps every A/B attribution clean.
+    // The dropout hint rides only the quantization-ladder backend: it is a
+    // pure accelerator (results are byte-identical), but keeping the SSP
+    // solve path untouched keeps every A/B attribution clean. Flip-flop
+    // `i` owns the R-arc pairs `n_constraints + 2i` and `+ 1`; every other
+    // pair is certified unchanged since the previous call on this context,
+    // which was the engine's last solve.
     let assist = effective_backend(ctx.backend) == CirculationBackend::QuantLadder;
-    let memo_hit =
-        warm.then(|| state.memo.iter().find(|e| e.caps == caps && e.costs == costs)).flatten();
-    let (circ_stats, d) = if let Some(entry) = memo_hit {
-        // Duplicate Dinkelbach probe: same caps and costs as a recent
-        // certified solve, so the memoized canonical distances are the
-        // answer. Credit the whole instance as reused, no delta.
-        let stats =
-            CirculationStats { reused_arcs: state.pairs.len(), ..CirculationStats::default() };
-        (stats, entry.dist.clone())
-    } else {
-        let differing = |mcaps: &[i64], mcosts: &[i64]| {
-            mcaps
-                .iter()
-                .zip(mcosts)
-                .zip(caps.iter().zip(&costs))
-                .filter(|((ec, ek), (c, k))| ec != c || ek != k)
-                .count()
-        };
-        if warm && assist && !state.memo.is_empty() {
-            // Cross-probe potential sharing: when a memoized probe is
-            // decisively closer to the incoming parameter than the
-            // engine's carried state — and the carried rebind is dense
-            // enough that the forced full-slot scan is being paid anyway
-            // — its canonical duals seed the Johnson potentials.
-            let engine_diff = differing(&state.solved_caps, &state.solved_costs);
-            let best = state.memo.iter().min_by_key(|e| differing(&e.caps, &e.costs));
-            if let Some(best) = best {
-                let best_diff = differing(&best.caps, &best.costs);
-                if best_diff * SEED_ADVANTAGE <= engine_diff
-                    && best_diff < engine_diff
-                    && engine_diff * 8 >= state.pairs.len()
-                {
-                    state.engine.seed_potentials(&best.dist);
-                }
-            }
-        }
-        let hint = match (&state.hint, warm && assist) {
-            (Some(pending), true) => {
-                let mut h = pending.clone();
-                h.sort_unstable();
-                h.dedup();
-                Some(h)
-            }
-            _ => None,
-        };
-        let stats = state.engine.solve_hinted(&caps, &costs, warm, hint.as_deref());
-        let d = state.engine.canonical_distances();
-        state.solved_caps = caps.clone();
-        state.solved_costs = costs.clone();
-        state.hint = Some(Vec::new());
-        if state.memo.len() == MEMO_RING {
-            state.memo.remove(0);
-        }
-        state.memo.push(MemoEntry { caps, costs, dist: d.clone() });
-        (stats, d)
-    };
+    let n_constraints = sys.constraints().len();
+    let hint: Option<Vec<u32>> = ff_hint.filter(|_| warm && assist).map(|rewrapped| {
+        rewrapped
+            .iter()
+            .flat_map(|&i| {
+                let fwd = (n_constraints + 2 * i as usize) as u32;
+                [fwd, fwd + 1]
+            })
+            .collect()
+    });
+    let circ_stats = state.engine.solve_hinted(&caps, &costs, warm, hint.as_deref());
+    let d = state.engine.canonical_distances();
     let backend_label = state.engine.backend_label();
     ctx.circulation = Some(state);
     // Shift so the reference node maps to 0 (pure normalization; all
@@ -936,10 +820,10 @@ mod tests {
 
     #[test]
     fn duplicate_probe_replays_memoized_distances() {
-        // A repeated probe at identical parameters must hit the memo:
-        // same caps and costs as the last certified solve, so the second
-        // call replays the stored canonical distances — bit-identical
-        // schedule, full-instance reuse, and no delta anywhere.
+        // A repeated call at identical parameters is a warm re-solve whose
+        // rebind finds no changed pair: the carried optimum is already
+        // certified, so it runs zero rounds and returns a bit-identical
+        // schedule with no delta anywhere.
         let c = pipeline(5);
         let tech = Technology::default();
         let g = graph(&c);
@@ -952,11 +836,10 @@ mod tests {
         for (a, b) in first.targets.iter().zip(&second.targets) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        let arc_pairs = ctx.circulation.as_ref().unwrap().pairs.len();
-        assert!(stats.reused_work >= arc_pairs, "memo hit must credit the whole instance");
         assert_eq!(stats.delta_arcs, 0, "nothing changed, nothing replayed");
+        assert_eq!(stats.rounds, 0, "an unchanged rebind needs no Dijkstra round");
 
-        // A different parameter invalidates the memo and re-solves.
+        // A different parameter re-solves from the carried state.
         let moved: Vec<f64> = ideal.iter().map(|t| t + 0.02).collect();
         let (third, _) = weighted_schedule_ctx(&g, &tech, &moved, &weight, 0.01, &mut ctx);
         assert!(g.check_schedule(&third.targets, &tech, 0.01 - 1e-6, 1e-5).is_none());

@@ -14,8 +14,7 @@
 //!   [`difference`], [`mcmf`] and the skew scheduler in `rotary-core`.
 //! * [`lp`] — a two-phase (Big-M) revised primal simplex with a sparse LU
 //!   basis factorization, sparse columns, Bland anti-cycling fallback and
-//!   periodic refactorization. Devex partial pricing by default (full
-//!   Dantzig scan kept as the property-tested reference) and optimal-basis
+//!   periodic refactorization. Full Dantzig pricing and optimal-basis
 //!   warm starts for the structurally identical re-solves of the flow
 //!   loop. Exact enough for every LP the flow solves (assignment LP
 //!   relaxations and small skew LPs).
@@ -60,7 +59,7 @@ pub mod sparse;
 pub use difference::{DifferenceSystem, ParametricSystem};
 pub use graph::{RelaxOutcome, ShortestPaths, SpfaGraph, SpfaResult, WarmSpfa};
 pub use ilp::{BranchAndBound, IlpOutcome};
-pub use lp::{LpBasis, LpProblem, LpSolution, LpStatus, Pricing, RowKind};
+pub use lp::{LpBasis, LpProblem, LpSolution, LpStatus, RowKind};
 pub use mcmf::{
     ArcId, Circulation, CirculationStats, FlowNetwork, NodeId, Transportation,
     TransportationInfeasible, TransportationStats,

@@ -12,15 +12,13 @@
 //! `m × m` inverse this module used to maintain. Bland's rule remains the
 //! anti-cycling fallback when degeneracy stalls progress.
 //!
-//! Two pricing rules are available ([`Pricing`]): the classic full Dantzig
-//! scan (the property-tested reference and the default) and Devex
-//! reference weights with a partial, candidate-list scan — a rotating
-//! window of columns is priced, improving columns are carried in a
-//! candidate list across iterations, and a full rotation of the window
-//! certifies optimality exactly like a full scan would. Reduced-cost
-//! evaluation over a window fans out over [`crate::par::par_map_with`]
-//! chunks, which keeps the scan deterministic regardless of thread count.
-//! See the [`Pricing`] docs for the measured trade-off between the two.
+//! Pricing is the classic full Dantzig scan: every nonbasic column is
+//! priced every iteration and the most negative reduced cost enters. The
+//! assignment relaxations carry ~2 nonzeros per column, so the scan is
+//! nearly free and the globally best entering column keeps the pivot path
+//! short. Reduced-cost evaluation fans out over
+//! [`crate::par::par_map_with`] chunks, which keeps the scan deterministic
+//! regardless of thread count.
 //!
 //! Warm starts: [`LpProblem::solve_with_basis`] accepts the optimal basis
 //! of a previous solve ([`LpBasis`]) and refactorizes it on the new
@@ -89,34 +87,6 @@ pub enum LpStatus {
     NumericalBreakdown,
 }
 
-/// Entering-variable pricing rule of the revised simplex.
-///
-/// Both rules are exact — they certify the same optima (property-tested in
-/// `tests/equivalence.rs`) — and differ only in pivot path and per-iteration
-/// cost. The default is [`Pricing::Dantzig`]: on the assignment relaxations
-/// this codebase actually solves, columns carry ~2 nonzeros each, so a full
-/// pricing scan is nearly free and Dantzig's globally best entering column
-/// yields a measurably shorter pivot path than the windowed candidate list
-/// (s38417 K=6: 4 065 vs 6 799 pivots). [`Pricing::DevexPartial`] wins on
-/// instances whose per-iteration pricing cost is the bottleneck (the
-/// block-dense synthetic in `benches/kernels.rs` runs ~1.3× faster under
-/// it); select it explicitly via [`LpProblem::set_pricing`] for such shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pricing {
-    /// Full Dantzig scan: every nonbasic column is priced every iteration
-    /// and the most negative reduced cost enters. `O(nnz(A))` per
-    /// iteration; the property-tested reference rule and the default.
-    #[default]
-    Dantzig,
-    /// Devex reference weights with a partial, candidate-list scan: price
-    /// a rotating window of columns, carry the improving ones across
-    /// iterations, fall back to scanning further windows only when the
-    /// list runs dry. Exact (optimality is only declared after a full
-    /// rotation finds no improving column) but prices a small fraction of
-    /// the columns on a typical iteration.
-    DevexPartial,
-}
-
 /// An optimal simplex basis in canonical (sorted) form, as returned by
 /// [`LpProblem::solve_with_basis`]. Opaque to callers; feed it back into a
 /// later solve to warm-start it. For unkeyed problems the later solve must
@@ -169,7 +139,7 @@ impl LpBasis {
 
 /// Stable identity of one basis column of a keyed problem, resolvable
 /// against a later problem whose column/row sets have changed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BasisSlot {
     /// A structural column: the caller's column key, plus which half of a
     /// free variable's `±` split it is.
@@ -252,7 +222,6 @@ pub struct LpProblem {
     /// Column-sparse structural coefficients: `cols[j] = [(row, coeff)]`.
     cols: Vec<Vec<(usize, f64)>>,
     max_iters: usize,
-    pricing: Pricing,
     par: ParConfig,
     /// Stable caller-supplied column identities (empty = unkeyed).
     col_keys: Vec<u64>,
@@ -271,7 +240,6 @@ impl LpProblem {
             rows: Vec::new(),
             cols: vec![Vec::new(); n],
             max_iters: 200_000,
-            pricing: Pricing::default(),
             par: ParConfig::fine_grained(),
             col_keys: Vec::new(),
             row_keys: Vec::new(),
@@ -300,11 +268,6 @@ impl LpProblem {
     /// Caps the number of simplex iterations (default 200 000).
     pub fn set_iteration_limit(&mut self, limit: usize) {
         self.max_iters = limit;
-    }
-
-    /// Selects the pricing rule (default [`Pricing::Dantzig`]).
-    pub fn set_pricing(&mut self, pricing: Pricing) {
-        self.pricing = pricing;
     }
 
     /// Overrides the fan-out thresholds of the pricing scan (default
@@ -440,126 +403,6 @@ struct Simplex<'a> {
 const EPS: f64 = 1e-9;
 const PIVOT_EPS: f64 = 1e-7;
 
-/// Devex weights are clamped here; runaway reference weights would starve
-/// legitimately improving columns of merit.
-const WEIGHT_CAP: f64 = 1e12;
-/// Lower bound on the rotating pricing-window width.
-const SECTION_MIN: usize = 256;
-/// Upper bound on the carried candidate list.
-const CANDIDATE_CAP: usize = 256;
-/// A refill keeps scanning windows until it has at least this many
-/// improving columns (or has priced every column). Stopping at the first
-/// non-empty window draws entering columns from one narrow slice of the
-/// matrix and measurably lengthens the pivot path on the real assignment
-/// relaxations.
-const REFILL_TARGET: usize = 256;
-
-/// Devex reference weights plus the partial-pricing candidate list.
-struct Devex {
-    weights: Vec<f64>,
-    candidates: Vec<usize>,
-    /// Next column the rotating window scan starts from.
-    cursor: usize,
-}
-
-impl Devex {
-    fn new(ncols: usize) -> Self {
-        Self { weights: vec![1.0; ncols], candidates: Vec::new(), cursor: 0 }
-    }
-
-    /// Picks the entering column: re-price the carried candidates, refill
-    /// from the rotating window when the list runs dry, and return the
-    /// best Devex merit `d²/w`. `None` ⇔ provably optimal (a full window
-    /// rotation found no improving column).
-    fn select(&mut self, sx: &Simplex, y: &[f64], in_basis: &[bool]) -> Option<usize> {
-        let mut live = std::mem::take(&mut self.candidates);
-        live.retain(|&j| !in_basis[j] && sx.reduced_cost(y, j) < -PIVOT_EPS);
-        self.candidates = live;
-        if self.candidates.is_empty() {
-            self.refill(sx, y, in_basis);
-        }
-        let mut best: Option<(f64, usize)> = None;
-        for &j in &self.candidates {
-            let d = sx.reduced_cost(y, j);
-            let merit = d * d / self.weights[j];
-            if best.is_none_or(|(bm, bj)| merit > bm || (merit == bm && j < bj)) {
-                best = Some((merit, j));
-            }
-        }
-        best.map(|(_, j)| j)
-    }
-
-    /// Scans rotating windows until an improving column appears or every
-    /// column has been priced once (⇒ optimality is certified exactly).
-    fn refill(&mut self, sx: &Simplex, y: &[f64], in_basis: &[bool]) {
-        let n = sx.cols.len();
-        let section = (n / 16).max(SECTION_MIN).min(n);
-        let mut scanned = 0usize;
-        while scanned < n && self.candidates.len() < REFILL_TARGET {
-            let len = section.min(n - scanned);
-            let lo = self.cursor;
-            let part = len.min(n - lo);
-            self.scan_range(sx, y, in_basis, lo, lo + part);
-            if part < len {
-                self.scan_range(sx, y, in_basis, 0, len - part);
-            }
-            self.cursor = (lo + len) % n;
-            scanned += len;
-        }
-        if self.candidates.len() > CANDIDATE_CAP {
-            let mut scored: Vec<(f64, usize)> = self
-                .candidates
-                .iter()
-                .map(|&j| {
-                    let d = sx.reduced_cost(y, j);
-                    (d * d / self.weights[j], j)
-                })
-                .collect();
-            scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-            scored.truncate(CANDIDATE_CAP);
-            self.candidates = scored.into_iter().map(|(_, j)| j).collect();
-            self.candidates.sort_unstable();
-        }
-    }
-
-    fn scan_range(&mut self, sx: &Simplex, y: &[f64], in_basis: &[bool], lo: usize, hi: usize) {
-        let ds = sx.reduced_costs_range(y, in_basis, lo, hi);
-        for (k, d) in ds.into_iter().enumerate() {
-            if d < -PIVOT_EPS {
-                self.candidates.push(lo + k);
-            }
-        }
-    }
-
-    /// Forrest–Goldfarb reference-weight update after a pivot (entering
-    /// `q`, leaving variable `leaving`, pivot element `α_rq`), restricted
-    /// to the candidate list — the only columns whose merit is consulted
-    /// before their next full re-pricing. `rho` is `e_rᵀ·B⁻¹` (the pivot
-    /// row of the basis inverse, by original row index), so
-    /// `α_rj = rho·A_j`. (Sweeping *all* nonbasic weights instead was
-    /// measured on the s38417/s35932 relaxations: it shortens the pivot
-    /// path by under 10% while doubling per-pivot cost — a net loss.)
-    fn pivot_update(&mut self, sx: &Simplex, rho: &[f64], q: usize, leaving: usize, alpha_rq: f64) {
-        let wq = self.weights[q];
-        let inv = 1.0 / alpha_rq;
-        for &j in &self.candidates {
-            if j == q {
-                continue;
-            }
-            let mut arj = 0.0;
-            for &(r, a) in &sx.cols[j] {
-                arj += rho[r] * a;
-            }
-            let ratio = arj * inv;
-            let cand = (ratio * ratio * wq).min(WEIGHT_CAP);
-            if cand > self.weights[j] {
-                self.weights[j] = cand;
-            }
-        }
-        self.weights[leaving] = (wq * inv * inv).clamp(1.0, WEIGHT_CAP);
-    }
-}
-
 /// A validated, factored warm basis plus its triage verdict.
 struct WarmStart {
     basis: Vec<usize>,
@@ -660,11 +503,10 @@ impl<'a> Simplex<'a> {
         d
     }
 
-    /// Reduced costs of columns `lo..hi`, chunk-parallel and deterministic
+    /// Reduced costs of every column, chunk-parallel and deterministic
     /// (basic columns report 0.0, which is never improving).
-    fn reduced_costs_range(&self, y: &[f64], in_basis: &[bool], lo: usize, hi: usize) -> Vec<f64> {
-        par_map_with(&self.problem.par, hi - lo, |k| {
-            let j = lo + k;
+    fn reduced_costs(&self, y: &[f64], in_basis: &[bool]) -> Vec<f64> {
+        par_map_with(&self.problem.par, self.cols.len(), |j| {
             if in_basis[j] {
                 0.0
             } else {
@@ -676,7 +518,7 @@ impl<'a> Simplex<'a> {
     /// Full Dantzig scan: most negative reduced cost below `-thr`,
     /// first-seen on ties.
     fn price_dantzig(&self, y: &[f64], in_basis: &[bool], thr: f64) -> Option<usize> {
-        let ds = self.reduced_costs_range(y, in_basis, 0, self.cols.len());
+        let ds = self.reduced_costs(y, in_basis);
         let mut enter = None;
         let mut best = -thr;
         for (j, &d) in ds.iter().enumerate() {
@@ -843,9 +685,6 @@ impl<'a> Simplex<'a> {
             used[j] = true;
             basis[pos] = j;
         }
-        if std::env::var_os("ROTARY_LP_DEBUG").is_some() {
-            eprintln!("lp warm: repaired singular basis ({} dependent columns)", deficient.len());
-        }
         BasisFactorization::factor(&self.basis_transpose(basis))
     }
 
@@ -857,11 +696,7 @@ impl<'a> Simplex<'a> {
     fn try_warm_start(&self, wb: &LpBasis) -> Option<WarmStart> {
         let keyed = !self.problem.col_keys.is_empty() && !wb.slots.is_empty();
         let (basis, mapped, dropped) = if keyed {
-            let r = self.resolve_keyed(wb);
-            if r.is_none() && std::env::var_os("ROTARY_LP_DEBUG").is_some() {
-                eprintln!("lp warm: resolve_keyed None");
-            }
-            r?
+            self.resolve_keyed(wb)?
         } else {
             // Unkeyed: reuse by index; requires a structurally identical
             // problem (same column universe, same row count).
@@ -890,11 +725,6 @@ impl<'a> Simplex<'a> {
                 }
             }
             return Some(WarmStart { basis, fact, xb, mode: WarmMode::Primal, mapped, dropped });
-        }
-        if std::env::var_os("ROTARY_LP_DEBUG").is_some() {
-            let neg = xb.iter().filter(|&&v| v < -PIVOT_EPS).count();
-            let min = xb.iter().cloned().fold(f64::INFINITY, f64::min);
-            eprintln!("lp warm: primal infeasible rows={neg}/{} min={min:.3e}", self.m);
         }
         // Primal infeasible: hand the basis to the dual-simplex repair.
         // Exact dual feasibility is *not* required — real drift perturbs
@@ -1077,20 +907,9 @@ impl<'a> Simplex<'a> {
                 stats.mode = ws.mode;
                 stats.mapped_columns = ws.mapped;
                 stats.dropped_slots = ws.dropped;
-                if std::env::var_os("ROTARY_LP_DEBUG").is_some() {
-                    eprintln!(
-                        "lp warm: triage {:?} mapped={} dropped={}",
-                        ws.mode, ws.mapped, ws.dropped
-                    );
-                }
                 (ws.basis, ws.fact, ws.xb)
             }
-            None => {
-                if std::env::var_os("ROTARY_LP_DEBUG").is_some() && warm.is_some() {
-                    eprintln!("lp warm: triage None (cold)");
-                }
-                cold_start()
-            }
+            None => cold_start(),
         };
         let mut in_basis = vec![false; self.cols.len()];
         for &b in &basis {
@@ -1105,22 +924,10 @@ impl<'a> Simplex<'a> {
         if stats.mode == WarmMode::DualRepair {
             match self.dual_repair(&mut basis, &mut fact, &mut xb, &mut in_basis) {
                 Ok(pivots) => {
-                    if std::env::var_os("ROTARY_LP_DEBUG").is_some() {
-                        eprintln!(
-                            "lp warm: repair ok mapped={} dropped={} pivots={}",
-                            stats.mapped_columns, stats.dropped_slots, pivots
-                        );
-                    }
                     stats.dual_pivots = pivots;
                     iterations += pivots;
                 }
                 Err(pivots) => {
-                    if std::env::var_os("ROTARY_LP_DEBUG").is_some() {
-                        eprintln!(
-                            "lp warm: repair ABANDONED mapped={} dropped={} pivots={}",
-                            stats.mapped_columns, stats.dropped_slots, pivots
-                        );
-                    }
                     stats.mode = WarmMode::Cold;
                     stats.dual_pivots = pivots;
                     iterations += pivots;
@@ -1148,16 +955,9 @@ impl<'a> Simplex<'a> {
         // continue to the unique EPS-optimal vertex.
         let mut polishing = false;
 
-        let mut pricing = match self.problem.pricing {
-            Pricing::Dantzig => None,
-            Pricing::DevexPartial => Some(Devex::new(self.cols.len())),
-        };
-
         let mut y = vec![0.0; m];
         let mut w = vec![0.0; m];
         let mut cb = vec![0.0; m];
-        let mut er = vec![0.0; m];
-        let mut rho = vec![0.0; m];
 
         loop {
             if iterations >= self.problem.max_iters {
@@ -1180,21 +980,13 @@ impl<'a> Simplex<'a> {
             }
             fact.btran_in_place(&mut cb, &mut y);
 
-            // Pricing. The polish phase always uses full Dantzig scans:
-            // partial (Devex) pricing may under-scan the sub-PIVOT_EPS
-            // band, and path-independence of the terminal vertex needs
-            // every column checked against the finer threshold.
+            // Pricing: Dantzig, or Bland's rule once degeneracy stalls.
             let use_bland = degenerate_streak > 2 * m + 20;
             let thr = if polishing { EPS } else { PIVOT_EPS };
             let enter = if use_bland {
                 self.price_bland(&y, &in_basis, thr)
-            } else if polishing {
-                self.price_dantzig(&y, &in_basis, thr)
             } else {
-                match pricing.as_mut() {
-                    None => self.price_dantzig(&y, &in_basis, thr),
-                    Some(devex) => devex.select(&self, &y, &in_basis),
-                }
+                self.price_dantzig(&y, &in_basis, thr)
             };
             let Some(q) = enter else {
                 // Optimality may only be declared off a fresh
@@ -1211,9 +1003,6 @@ impl<'a> Simplex<'a> {
                 }
                 if !polishing {
                     polishing = true;
-                    if std::env::var_os("ROTARY_LP_DEBUG").is_some() {
-                        eprintln!("lp: polish entered at iter {iterations}");
-                    }
                     continue;
                 }
                 break; // optimal
@@ -1254,15 +1043,6 @@ impl<'a> Simplex<'a> {
                 degenerate_streak = 0;
             }
 
-            // Devex weight update needs the pivot row of B⁻¹ (pre-pivot):
-            // one extra BTRAN of the unit vector e_r.
-            if let Some(devex) = pricing.as_mut() {
-                er.fill(0.0);
-                er[r] = 1.0;
-                fact.btran_in_place(&mut er, &mut rho);
-                devex.pivot_update(&self, &rho, q, basis[r], w[r]);
-            }
-
             // Pivot: push the eta update and refresh x_B.
             fact.update(r, &w);
             xb[r] = theta;
@@ -1299,21 +1079,6 @@ impl<'a> Simplex<'a> {
             }
         }
 
-        if std::env::var_os("ROTARY_LP_DEBUG").is_some() {
-            if let Some(wb) = warm {
-                let mut overlap = 0usize;
-                if !wb.slots.is_empty() && !self.problem.col_keys.is_empty() {
-                    use std::collections::HashSet;
-                    let fin: HashSet<BasisSlot> =
-                        basis.iter().map(|&b| self.slot_of_col(b)).collect();
-                    overlap = wb.slots.iter().filter(|s| fin.contains(s)).count();
-                }
-                eprintln!(
-                    "lp warm: done iters={iterations} basis-overlap {overlap}/{}",
-                    basis.len()
-                );
-            }
-        }
         // Extract solution.
         let mut x = vec![0.0; self.problem.num_vars()];
         let mut artificial_infeasible = false;
@@ -1534,7 +1299,7 @@ mod tests {
         assert_close(s.objective, expect);
     }
 
-    /// A pseudo-random min-max assignment instance shared by the pricing /
+    /// A pseudo-random min-max assignment instance shared by the
     /// warm-start tests below.
     fn assignment_instance(items: usize, bins: usize, seed: u64, bump: f64) -> LpProblem {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -1565,25 +1330,6 @@ mod tests {
             lp.add_row(RowKind::Le, 0.0, &row);
         }
         lp
-    }
-
-    #[test]
-    fn devex_partial_matches_dantzig_optimum() {
-        for seed in 0..6 {
-            let mut a = assignment_instance(12, 4, seed, 0.0);
-            a.set_pricing(Pricing::Dantzig);
-            let mut b = assignment_instance(12, 4, seed, 0.0);
-            b.set_pricing(Pricing::DevexPartial);
-            let (sa, sb) = (a.solve(), b.solve());
-            assert_eq!(sa.status, LpStatus::Optimal);
-            assert_eq!(sb.status, LpStatus::Optimal);
-            assert!(
-                (sa.objective - sb.objective).abs() < 1e-6,
-                "seed {seed}: {} vs {}",
-                sa.objective,
-                sb.objective
-            );
-        }
     }
 
     #[test]

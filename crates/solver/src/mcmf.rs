@@ -559,9 +559,8 @@ pub enum CirculationBackend {
     SuccessiveShortestPaths,
     /// Coarse-to-fine quantization ladder of warm SSP repairs on cold
     /// solves (effective 4-quantization → exact, see [`LADDER_SHIFTS`])
-    /// with wide full-settle plateau rounds, plus converged-subgraph
-    /// dropout and nearest-probe potential seeding layered on by
-    /// `core::skew`.
+    /// with wide full-settle plateau rounds, plus the converged-subgraph
+    /// dropout hint layered on by `core::skew`.
     QuantLadder,
 }
 
@@ -731,10 +730,6 @@ pub struct Circulation {
     /// Per-slot costs at the quantization-ladder level currently being
     /// routed (empty unless the ladder backend ran a coarse level).
     lcost: Vec<i64>,
-    /// Set by [`Self::seed_potentials`]: the carried potentials were
-    /// replaced by a foreign certificate, so the next warm solve must run
-    /// a full-slot saturation scan instead of the changed-pairs-only scan.
-    seeded: bool,
     /// Pair indices whose caps/costs changed in the current warm rebind.
     changed: Vec<u32>,
     /// Stamp per node marking it touched by the current rebind delta.
@@ -798,7 +793,6 @@ impl Circulation {
             backend: CirculationBackend::default(),
             label: "",
             lcost: Vec::new(),
-            seeded: false,
             changed: Vec::new(),
             node_stamp: vec![u32::MAX; n],
             stamp_round: 0,
@@ -917,7 +911,6 @@ impl Circulation {
         debug_assert!(self.excess.iter().all(|&e| e == 0), "imbalance left by a previous solve");
         if !warm {
             self.potential.iter_mut().for_each(|p| *p = 0);
-            self.seeded = false;
         }
         self.stamp_round = self.stamp_round.wrapping_add(1);
         if self.stamp_round == 0 {
@@ -1024,11 +1017,9 @@ impl Circulation {
     /// Warm, only the changed pairs need the check — an unchanged pair's
     /// residual slots are byte-identical to the previous solve's, whose
     /// optimality certificate already proved them non-negative under the
-    /// carried potentials — *unless* the potentials were replaced by
-    /// [`Self::seed_potentials`], which voids that certificate and forces
-    /// the full-slot scan.
+    /// carried potentials.
     fn saturate_phase(&mut self, warm: bool, coarse: bool) {
-        if warm && !self.seeded {
+        if warm {
             let changed = std::mem::take(&mut self.changed);
             for &k in &changed {
                 self.saturate_slot(2 * k as usize, coarse);
@@ -1040,7 +1031,6 @@ impl Circulation {
                 self.saturate_slot(a, coarse);
             }
         }
-        self.seeded = false;
     }
 
     /// Saturates residual slot `a` if its reduced cost under the current
@@ -1299,22 +1289,6 @@ impl Circulation {
         )
     }
 
-    /// Replaces the carried Johnson potentials with a caller-supplied seed
-    /// — e.g. the canonical distances of the nearest previously-solved
-    /// Dinkelbach parameter. Foreign potentials void the per-pair rebind
-    /// certificate (an unchanged pair's residual slots are no longer
-    /// proven non-negative), so the next warm solve runs the full-slot
-    /// saturation scan regardless of its rebind diff. Exactness is
-    /// unaffected: the scan repairs the invariant under *any* potentials;
-    /// a good seed only shrinks the imbalance it sheds.
-    ///
-    /// A subsequent cold solve discards the seed (potentials are zeroed).
-    pub fn seed_potentials(&mut self, seed: &[i64]) {
-        assert_eq!(seed.len(), self.n, "potential seed length mismatch");
-        self.potential.copy_from_slice(seed);
-        self.seeded = true;
-    }
-
     /// The quantization-ladder backend: solve the circulation at coarse
     /// cost quantization first, then refine level by level down to the
     /// exact 2^40-quantized costs, carrying flow and potentials on the
@@ -1336,8 +1310,7 @@ impl Circulation {
     /// on the same canonical dual face as the other backends.
     ///
     /// Warm solves skip the ladder entirely and run a finest-level repair
-    /// — identical to the SSP warm path (plus a full-slot scan when the
-    /// potentials were foreign-seeded). This is a measured decision, not a
+    /// — identical to the SSP warm path. This is a measured decision, not a
     /// shortcut: carried full-resolution potentials already place most of
     /// the graph on reduced-cost plateaus, so even *dense* rebinds batch
     /// ~5 paths per round under them, while re-coarsening destroys that
@@ -1388,7 +1361,6 @@ impl Circulation {
             }
             self.route_excess_on(coarse, true);
         }
-        self.seeded = false;
     }
 
     /// Shortest integer distances from the virtual source (every node at 0)
@@ -1840,38 +1812,6 @@ mod tests {
         costs2[4] += 1 << 21;
         // Pair 4 changed but the hint omits it.
         net.solve_hinted(&caps, &costs2, true, Some(&[1u32]));
-    }
-
-    #[test]
-    fn seeded_solve_stays_exactly_optimal() {
-        // Seed one engine's potentials from a *different* instance's
-        // canonical duals: the certificate is void (the full-slot scan must
-        // repair it), but the result must stay exactly optimal.
-        let (pairs, caps, costs) = scaled_instance(11, 30, 0xABCD);
-        let mut donor = Circulation::new(11, &pairs);
-        let mut costs_d = costs.clone();
-        for c in costs_d.iter_mut() {
-            *c += 7 << 22;
-        }
-        donor.solve(&caps, &costs_d, false);
-        let seed = donor.canonical_distances().to_vec();
-        for backend in
-            [CirculationBackend::SuccessiveShortestPaths, CirculationBackend::QuantLadder]
-        {
-            let mut net = Circulation::new(11, &pairs);
-            net.set_backend(backend);
-            net.solve(&caps, &costs_d, false);
-            net.seed_potentials(&seed);
-            // Unchanged re-solve under foreign potentials: without the
-            // seeded full-scan the stale certificate would be trusted.
-            let stats = net.solve(&caps, &costs, true);
-            let mut cold = Circulation::new(11, &pairs);
-            cold.solve(&caps, &costs, false);
-            assert_eq!(net.total_cost(), cold.total_cost(), "{backend:?}");
-            assert_eq!(net.canonical_distances(), cold.canonical_distances(), "{backend:?}");
-            assert!(stats.delta_pairs > 0, "{backend:?}: costs changed");
-            assert_canonical_certificate(&mut net);
-        }
     }
 
     #[test]

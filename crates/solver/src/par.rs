@@ -129,31 +129,6 @@ where
     }
 }
 
-/// Maps `f` over contiguous `chunk`-sized index ranges covering `0..len`,
-/// returning one result per range in range order — the chunked flavor of
-/// [`par_map_with`] for reductions and gathers over large flat arrays.
-/// Determinism is
-/// inherited: the ranges partition `0..len` identically for any thread
-/// count, and results commit position-stably.
-///
-/// The parallel threshold is applied to `len` (the underlying item count),
-/// not the range count, so callers keep one `min_parallel` meaning across
-/// both flavors.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero.
-pub fn par_chunk_map<T, F>(cfg: &ParConfig, len: usize, chunk: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> T + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    let ranges = len.div_ceil(chunk);
-    let inner = ParConfig { min_parallel: cfg.min_parallel.div_ceil(chunk).max(1), ..*cfg };
-    par_map_with(&inner, ranges, |c| f(c * chunk..((c + 1) * chunk).min(len)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,20 +173,6 @@ mod tests {
     fn default_cap_follows_machine_or_env() {
         assert!(default_max_threads() >= 1);
         assert_eq!(ParConfig::default().max_threads, default_max_threads());
-    }
-
-    #[test]
-    fn chunked_map_partitions_exactly() {
-        let cfg = ParConfig::default();
-        let len = cfg.min_parallel * 5 + 13;
-        let sums = par_chunk_map(&cfg, len, 64, |r| r.sum::<usize>());
-        assert_eq!(sums.len(), len.div_ceil(64));
-        assert_eq!(sums.iter().sum::<usize>(), (0..len).sum::<usize>());
-        // Each range's sum matches the sequential computation.
-        for (c, &s) in sums.iter().enumerate() {
-            assert_eq!(s, (c * 64..((c + 1) * 64).min(len)).sum::<usize>());
-        }
-        assert_eq!(par_chunk_map(&cfg, 0, 64, |r| r.len()), Vec::<usize>::new());
     }
 
     #[test]

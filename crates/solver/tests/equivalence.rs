@@ -11,8 +11,7 @@
 
 use proptest::prelude::*;
 use rotary_solver::graph::{Source, SpfaGraph, SpfaResult};
-use rotary_solver::lp::{LpProblem, LpStatus, Pricing, RowKind};
-use rotary_solver::rounding::greedy_round;
+use rotary_solver::lp::{LpProblem, LpStatus, RowKind};
 
 /// Quantizes to multiples of 1/8 so reference and kernel do bit-exact
 /// dyadic-rational arithmetic (no tolerance games in the comparisons).
@@ -157,14 +156,14 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Devex partial pricing vs full Dantzig pricing
+// Eq. 3 min-max-capacitance relaxations
 // ---------------------------------------------------------------------------
 
 /// Builds the eq. 3 min-max-capacitance relaxation for a random
 /// assignment instance: `x_ik` per (item, candidate bin) arc plus the
 /// makespan `t` (last column); `min t + tiebreak·wl` s.t. `Σ_k x_ik = 1`
 /// and `Σ_i load·x − t ≤ 0` per bin. Returns the LP and the per-item
-/// `(bin, column)` lists for rounding.
+/// `(bin, column)` lists.
 #[allow(clippy::type_complexity)]
 fn min_max_instance(
     items: usize,
@@ -192,8 +191,8 @@ fn min_max_instance(
             let wl = q8((next(raw) + 2.0).abs());
             // Strictly distinct per-column costs, comfortably above the
             // simplex's reduced-cost tolerance: without them eq. 3
-            // instances have alternate optimal vertices, and the two
-            // pricing rules legitimately stop at different corners. The
+            // instances have alternate optimal vertices, and two pivot
+            // paths legitimately stop at different corners. The
             // jitter must be hash-like, not linear in `col` — a linear
             // term cancels exactly when two items with identical draws
             // swap bins (their column indices shift in lockstep).
@@ -221,44 +220,6 @@ fn min_max_instance(
         lp.add_row(RowKind::Le, 0.0, &coeffs);
     }
     (lp, var_of)
-}
-
-proptest! {
-    /// Devex reference weights with the partial-pricing candidate list
-    /// reach the same optimum as the full Dantzig scan (the pricing rule
-    /// changes the pivot path, never the optimum), and the greedily
-    /// rounded integral assignment is identical on eq. 3 instances.
-    #[test]
-    fn devex_partial_pricing_matches_dantzig(
-        items in 3usize..=14,
-        bins in 2usize..=5,
-        raw in prop::collection::vec(-2.0f64..2.0, 96),
-    ) {
-        let (mut lp_a, var_of) = min_max_instance(items, bins, &raw);
-        let (mut lp_b, _) = min_max_instance(items, bins, &raw);
-        lp_a.set_pricing(Pricing::Dantzig);
-        lp_b.set_pricing(Pricing::DevexPartial);
-        let sa = lp_a.solve();
-        let sb = lp_b.solve();
-        prop_assert_eq!(sa.status, LpStatus::Optimal);
-        prop_assert_eq!(sb.status, LpStatus::Optimal);
-        prop_assert!(
-            (sa.objective - sb.objective).abs() < 1e-6,
-            "optimum mismatch: Dantzig {} vs Devex {}",
-            sa.objective,
-            sb.objective
-        );
-        let fractions_of = |x: &[f64]| -> Vec<Vec<(usize, f64)>> {
-            var_of
-                .iter()
-                .map(|row| row.iter().map(|&(bin, col)| (bin, x[col])).collect())
-                .collect()
-        };
-        prop_assert_eq!(
-            greedy_round(&fractions_of(&sa.x)),
-            greedy_round(&fractions_of(&sb.x))
-        );
-    }
 }
 
 /// [`min_max_instance`] with stable item×bin column keys and row keys —

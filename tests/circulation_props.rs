@@ -11,10 +11,11 @@
 //! * `weighted_schedule_ctx` must return bit-identical schedules whether
 //!   the context (and therefore the circulation warm start) is carried
 //!   across a sequence of perturbed ideal vectors or reset before every
-//!   solve — warm starts are pure accelerators.
+//!   solve, and whether or not each step carries the re-wrap dropout hint
+//!   (`weighted_schedule_rewrap_ctx`) — warm starts are pure accelerators.
 
 use proptest::prelude::*;
-use rotary::core::skew::{weighted_schedule_ctx, SkewContext};
+use rotary::core::skew::{weighted_schedule_ctx, weighted_schedule_rewrap_ctx, SkewContext};
 use rotary::netlist::geom::{Point, Rect};
 use rotary::netlist::{Cell, CellKind, Circuit, Net};
 use rotary::solver::lp::{LpProblem, LpStatus, RowKind};
@@ -205,9 +206,8 @@ proptest! {
 
     /// `weighted_schedule_ctx` under a quantization-ladder context returns
     /// bit-identical schedules to a cold SSP context, across a warm
-    /// sequence of perturbed ideal vectors — the ladder, the dropout
-    /// hint's frozen region, and the memo ring are all invisible in every
-    /// quality column.
+    /// sequence of perturbed ideal vectors — the ladder and its warm
+    /// re-solves are invisible in every quality column.
     #[test]
     fn quant_ladder_schedules_match_ssp(
         n in 4usize..8,
@@ -275,7 +275,10 @@ proptest! {
 
     /// Carrying the `SkewContext` (and its circulation engine) across a
     /// sequence of perturbed ideal vectors gives bit-identical schedules
-    /// to resetting the context before every solve.
+    /// to resetting the context before every solve. A second warm context
+    /// takes every step after the first through the hinted re-wrap entry
+    /// point, naming the one flip-flop whose ideal moved; debug builds
+    /// verify that certificate inside the engine.
     #[test]
     fn warm_weighted_schedule_is_bit_identical_to_cold(
         n in 4usize..8,
@@ -328,18 +331,35 @@ proptest! {
         let weight: Vec<f64> = (0..n).map(|i| 0.5 + i as f64).collect();
 
         let mut warm_ctx = SkewContext::new();
-        for ideal in &ideals {
+        let mut hinted_ctx = SkewContext::new();
+        for (step, ideal) in ideals.iter().enumerate() {
             let (warm, wstats) =
                 weighted_schedule_ctx(&graph, &tech, ideal, &weight, 0.0, &mut warm_ctx);
+            let (hinted, hstats) = match step {
+                0 => weighted_schedule_ctx(&graph, &tech, ideal, &weight, 0.0, &mut hinted_ctx),
+                _ => {
+                    let rewrapped = [(perturb[step - 1].0 % n) as u32];
+                    weighted_schedule_rewrap_ctx(
+                        &graph, &tech, ideal, &weight, 0.0, &mut hinted_ctx, &rewrapped,
+                    )
+                }
+            };
             let mut cold_ctx = SkewContext::new();
             let (cold, cstats) =
                 weighted_schedule_ctx(&graph, &tech, ideal, &weight, 0.0, &mut cold_ctx);
             prop_assert!(cstats.reused_work == 0, "cold solve must not report reuse");
             prop_assert_eq!(warm.targets.len(), cold.targets.len());
-            for (a, b) in warm.targets.iter().zip(&cold.targets) {
+            prop_assert_eq!(hinted.targets.len(), cold.targets.len());
+            for ((a, h), b) in warm.targets.iter().zip(&hinted.targets).zip(&cold.targets) {
                 prop_assert!(a.to_bits() == b.to_bits(), "warm {} vs cold {}", a, b);
+                prop_assert!(h.to_bits() == b.to_bits(), "hinted {} vs cold {}", h, b);
             }
-            let _ = wstats;
+            prop_assert!(
+                hstats.delta_arcs == wstats.delta_arcs,
+                "the hint changed the diff: {} vs {}",
+                hstats.delta_arcs,
+                wstats.delta_arcs
+            );
         }
     }
 }
