@@ -36,21 +36,26 @@ echo "==> tables --suite s38417 table1 (smoke, 120s budget)"
 (cd "$scratch" && timeout 120 "$tables_bin" --suite s38417 table1 2 > tables_s38417_ci.log)
 
 # Stage-4 tractability smoke: the full Fig. 3 loop on s15850 runs the
-# incremental circulation engine through every re-wrap round and flow
-# iteration (~2.5 s when healthy) — a regression in the warm-start path
-# or the bulk-augmentation kernel shows up here as a timeout. Pinned to
-# the SSP backend: this run is the round-count baseline the quant-ladder
-# smoke below must undercut (Auto resolves to the ladder, so an
-# unpinned run would compare the ladder against itself).
-echo "==> tables --suite s15850 table4 --backend ssp (smoke, 60s budget)"
-(cd "$scratch" && timeout 60 "$tables_bin" --suite s15850 table4 --backend ssp \
-  > tables_s15850_ci.log)
+# network-simplex circulation through every re-wrap round and flow
+# iteration — a regression in the pivot loop shows up as a timeout. The
+# checks pin backend attribution (every stage-4 row reads
+# network-simplex) and a live warm path: re-wrap rounds resume from the
+# carried basis, so the `reused` column (basis arcs carried into warm
+# solves) must be nonzero on every row.
+echo "==> tables --suite s15850 table4 (smoke, 60s budget + backend/reuse check)"
+(cd "$scratch" && timeout 60 "$tables_bin" --suite s15850 table4 > tables_s15850_ci.log)
+ns_rows="$(grep 'cost_driven_skew' "$scratch/tables_s15850_ci.log")"
+[ -n "$ns_rows" ] || { echo "no stage-4 telemetry rows:"; cat "$scratch/tables_s15850_ci.log"; exit 1; }
+awk '$NF != "network-simplex" || $(NF-8) == 0 { bad = 1 }
+     END { exit bad }' <<< "$ns_rows" \
+  || { echo "stage-4 rows must read network-simplex with nonzero warm reuse:"; echo "$ns_rows"; exit 1; }
 
-# Largest-suite stage-4 smoke: the s35932 Fig. 3 loop drives the shared
-# relaxation kernel through its warm circulation route (~23k Dijkstra
-# rounds between re-wraps). The time budget catches kernel regressions;
-# the greps catch a dead warm path — every cost_driven_skew telemetry
-# row must report nonzero `reused` and `Δarcs` (the rebind footprint).
+# Largest-suite stage-4 smoke: the s35932 Fig. 3 loop drives the
+# network simplex through its cold solves and warm re-wrap rounds. The
+# time budget catches pivot-loop regressions; the greps catch a dead warm
+# path — every cost_driven_skew telemetry row must report nonzero
+# `reused` (basis arcs carried into warm re-wrap solves) and `Δarcs`
+# (pairs whose cap or cost changed between solves).
 echo "==> tables --suite s35932 table4 (smoke, 150s budget + reuse check)"
 (cd "$scratch" && timeout 150 "$tables_bin" --suite s35932 table4 > tables_s35932_ci.log)
 stage4_rows="$(grep 'cost_driven_skew' "$scratch/tables_s35932_ci.log")"
@@ -59,27 +64,6 @@ stage4_rows="$(grep 'cost_driven_skew' "$scratch/tables_s35932_ci.log")"
 awk '$(NF-8) == 0 || $(NF-6) == 0 { bad = 1 }
      END { exit bad }' <<< "$stage4_rows" \
   || { echo "stage-4 reuse columns must be nonzero on the warm route:"; echo "$stage4_rows"; exit 1; }
-
-# Quantization-ladder backend smoke: the same loop forced onto the
-# coarse-to-fine ladder via the tables flag (which must accept the name —
-# the flag, the env var, and FlowConfig share one parser). Quality is
-# byte-identical by construction; the checks are backend attribution and
-# the ladder's structural claim — its Dijkstra round total (the `rounds`
-# telemetry column) must undercut the SSP baseline recorded by the
-# earlier s15850 smoke, because coarse levels serve many paths per round.
-echo "==> tables --suite s15850 table4 --backend quant-ladder (smoke, 60s budget + round-collapse check)"
-(cd "$scratch" && timeout 60 "$tables_bin" --suite s15850 table4 --backend quant-ladder \
-  > tables_s15850_ql_ci.log)
-ql_rows="$(grep 'cost_driven_skew' "$scratch/tables_s15850_ql_ci.log")"
-awk '$NF != "quant-ladder" { bad = 1 }
-     END { exit bad }' <<< "$ql_rows" \
-  || { echo "stage-4 backend column must read quant-ladder under the override:"; echo "$ql_rows"; exit 1; }
-ssp_rounds="$(grep 'cost_driven_skew' "$scratch/tables_s15850_ci.log" \
-  | awk '{ n += $(NF-2) } END { print n }')"
-ql_rounds="$(awk '{ n += $(NF-2) } END { print n }' <<< "$ql_rows")"
-[ -n "$ssp_rounds" ] && [ "$ql_rounds" -lt "$ssp_rounds" ] \
-  || { echo "quant-ladder rounds ($ql_rounds) must undercut the SSP baseline ($ssp_rounds):"; \
-       echo "$ql_rows"; exit 1; }
 
 # Stage-2 scheduling smoke: period search + max-slack, cold then warm
 # over drifted placements. The binary itself asserts the delta-rebind

@@ -13,7 +13,7 @@ use rotary_netlist::BenchmarkSuite;
 use rotary_ring::{Ring, RingArray, RingDirection, RingParams};
 use rotary_solver::graph::{Source, SpfaGraph};
 use rotary_solver::lp::{LpProblem, RowKind};
-use rotary_solver::mcmf::{Circulation, CirculationBackend, FlowNetwork, Transportation};
+use rotary_solver::mcmf::{Circulation, FlowNetwork, Transportation};
 use rotary_solver::rounding::{greedy_round_loaded, greedy_round_loaded_rescan, LoadedCandidate};
 use rotary_solver::sparse::{CsrMatrix, SparseLu};
 use rotary_solver::{DifferenceSystem, ParametricSystem};
@@ -585,7 +585,7 @@ fn bench_mcmf(c: &mut Criterion) {
     // battery solves.
     let n = 1728;
     let (pairs, caps, costs) = circulation_instance(n);
-    c.bench_function("mcmf/circulation_cold_s35932_sized", |b| {
+    c.bench_function("mcmf/network_simplex_cold_s35932_sized", |b| {
         b.iter_batched(
             || Circulation::new(n + 1, &pairs),
             |mut eng| {
@@ -598,7 +598,8 @@ fn bench_mcmf(c: &mut Criterion) {
 
     // Warm re-solve after a phase re-wrap round: a T/2 shift on ~3% of
     // the R-arc pairs (the flip-flops that wrapped), everything else
-    // untouched — the exact cost drift `Flow::cost_driven` produces.
+    // untouched — the exact cost drift `Flow::cost_driven` produces. The
+    // caps are unchanged, so the solve resumes from the carried basis.
     let mut warm_src = Circulation::new(n + 1, &pairs);
     warm_src.solve(&caps, &costs, false);
     let base = pairs.len() - 2 * n;
@@ -608,7 +609,7 @@ fn bench_mcmf(c: &mut Criterion) {
         wrapped[base + 2 * i] += half;
         wrapped[base + 2 * i + 1] -= half;
     }
-    c.bench_function("mcmf/circulation_warm_rewrap_s35932_sized", |b| {
+    c.bench_function("mcmf/network_simplex_warm_rewrap_s35932_sized", |b| {
         b.iter_batched(
             || warm_src.clone(),
             |mut eng| {
@@ -619,42 +620,9 @@ fn bench_mcmf(c: &mut Criterion) {
         )
     });
 
-    // The quantization ladder on the same instance pair: cold runs the
-    // full 2^16 -> 2^24 -> 2^32 -> 2^40 refinement, warm takes the
-    // sparse-delta bypass (the re-wrap touches ~3% of pairs, well under
-    // the ladder's density threshold) and should track the SSP warm
-    // number — the ladder's win is the cold/dense regime.
-    c.bench_function("mcmf/quant_ladder_cold_s35932_sized", |b| {
-        b.iter_batched(
-            || {
-                let mut eng = Circulation::new(n + 1, &pairs);
-                eng.set_backend(CirculationBackend::QuantLadder);
-                eng
-            },
-            |mut eng| {
-                eng.solve(&caps, &costs, false);
-                std::hint::black_box(eng.canonical_distances())
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    let mut ql_warm_src = Circulation::new(n + 1, &pairs);
-    ql_warm_src.set_backend(CirculationBackend::QuantLadder);
-    ql_warm_src.solve(&caps, &costs, false);
-    c.bench_function("mcmf/quant_ladder_warm_rewrap_s35932_sized", |b| {
-        b.iter_batched(
-            || ql_warm_src.clone(),
-            |mut eng| {
-                eng.solve(&caps, &wrapped, true);
-                std::hint::black_box(eng.canonical_distances())
-            },
-            BatchSize::SmallInput,
-        )
-    });
-
-    // The one-shot f64 reference the incremental engine replaced, kept at
-    // a smaller size (s15850-ish flip-flop count) so the bench stays
-    // tractable — it augments one path per round.
+    // The one-shot f64 reference engine, kept at a smaller size
+    // (s15850-ish flip-flop count) so the bench stays tractable — it
+    // augments one path per round.
     let n_ref = 600;
     let (rpairs, rcaps, rcosts) = circulation_instance(n_ref);
     c.bench_function("mcmf/reference_circulation_n600", |b| {

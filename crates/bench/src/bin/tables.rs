@@ -76,22 +76,7 @@ fn main() {
     let mut only: Vec<BenchmarkSuite> = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        if args[i] == "--backend" {
-            args.remove(i);
-            let Some(name) = (i < args.len()).then(|| args.remove(i)) else {
-                eprintln!("--backend needs a name ({})", rotary_solver::mcmf::BACKEND_NAMES);
-                std::process::exit(2);
-            };
-            // One parser for the flag, the env var, and FlowConfig — a
-            // name accepted here is accepted everywhere (and vice versa).
-            if let Err(msg) = rotary_solver::mcmf::parse_backend(&name) {
-                eprintln!("--backend: {msg}");
-                std::process::exit(2);
-            }
-            // Same switch the solver reads directly; setting it here lets
-            // table runs A/B the circulation backend without a wrapper.
-            std::env::set_var("ROTARY_MCMF_BACKEND", &name);
-        } else if args[i] == "--suite" {
+        if args[i] == "--suite" {
             args.remove(i);
             let Some(name) = (i < args.len()).then(|| args.remove(i)) else {
                 eprintln!("--suite needs a suite name (e.g. --suite s38417)");

@@ -89,12 +89,9 @@ pub struct FlowConfig {
     /// feasibility verdicts — so this is off only for diagnostics.
     #[serde(default = "default_true")]
     pub warm_start: bool,
-    /// Min-cost-circulation engine behind the stage-4 weighted dual.
-    /// Schedules are bit-identical across backends (both recover the
-    /// canonical residual distances); `Auto` currently resolves to the
-    /// quantization ladder, which beats plain successive shortest paths
-    /// on every measured suite. The `ROTARY_MCMF_BACKEND` environment
-    /// variable overrides this at the solver level.
+    /// Min-cost-circulation engine behind the stage-4 weighted dual. One
+    /// engine exists, the primal network simplex; the field keeps the
+    /// configuration surface stable.
     #[serde(default)]
     pub circulation_backend: CirculationBackend,
 }
@@ -122,7 +119,7 @@ impl Default for FlowConfig {
             skew_variant: SkewVariant::WeightedSum,
             objective: AssignmentObjective::TappingCost,
             warm_start: true,
-            circulation_backend: CirculationBackend::Auto,
+            circulation_backend: CirculationBackend::NetworkSimplex,
         }
     }
 }
@@ -238,7 +235,6 @@ impl Flow {
         // (period search, stage 2, stage 4). Cleared before each use when
         // warm starting is disabled.
         let mut skew_ctx = skew::SkewContext::new();
-        skew_ctx.set_circulation_backend(cfg.circulation_backend);
         // Optimal LP basis carried across the stage-3 relaxation solves,
         // and the candidate ring lists carried across stage-3 cost
         // computations — both cleared per pass when warm starting is off.
@@ -294,7 +290,6 @@ impl Flow {
                 };
                 if !cfg.warm_start {
                     skew_ctx = skew::SkewContext::new();
-                    skew_ctx.set_circulation_backend(cfg.circulation_backend);
                 }
                 let (stage2, stats) = skew::max_slack_schedule_ctx(&graph, &tech, &mut skew_ctx);
                 stage.set_problem_size(stats.constraints);
@@ -578,7 +573,6 @@ impl Flow {
                 let solve = |rd: &[f64], sd: &[f64], ctx: &mut skew::SkewContext| {
                     if !self.config.warm_start {
                         *ctx = skew::SkewContext::new();
-                        ctx.set_circulation_backend(self.config.circulation_backend);
                     }
                     skew::minimax_schedule_ctx(graph, tech, rd, sd, m, ctx)
                 };
@@ -618,14 +612,12 @@ impl Flow {
                 let solve = |id: &[f64], rewrapped: Option<&[u32]>, ctx: &mut skew::SkewContext| {
                     if !self.config.warm_start {
                         *ctx = skew::SkewContext::new();
-                        ctx.set_circulation_backend(self.config.circulation_backend);
                     }
                     match rewrapped {
-                        // Converged-FF dropout: between re-wrap rounds only
-                        // the re-wrapped flip-flops' ideals move (same
-                        // graph, technology, slack, and weights), so the
-                        // solve carries that certificate and the frozen
-                        // complement never enters the rebind scan.
+                        // Between re-wrap rounds only the re-wrapped
+                        // flip-flops' ideals move (same graph, technology,
+                        // slack, and weights), so the circulation resumes
+                        // from its carried basis.
                         Some(r) => skew::weighted_schedule_rewrap_ctx(
                             graph, tech, id, &distance, m, ctx, r,
                         ),

@@ -14,7 +14,7 @@
 //!   dual (the LP's network structure), with `w_i = l_i` as the paper
 //!   suggests.
 
-use rotary_solver::mcmf::{effective_backend, Circulation, CirculationBackend};
+use rotary_solver::mcmf::{Circulation, CirculationBackend};
 use rotary_solver::{DifferenceSystem, ParametricSystem};
 use rotary_timing::{SequentialGraph, Technology};
 use serde::{Deserialize, Serialize};
@@ -52,33 +52,31 @@ pub struct SkewStats {
     pub solver_iterations: usize,
     /// Work carried over from the warm-start context instead of being
     /// recomputed: constraint arcs and potential labels a delta-rebound
-    /// parametric engine kept intact (parametric schedulers) or arc pairs
-    /// whose circulation flow survived a re-solve (weighted). Zero on cold
-    /// solves.
+    /// parametric engine kept intact (parametric schedulers), or the
+    /// spanning-tree arcs of the carried basis a warm circulation solve
+    /// resumed from (weighted). Zero on cold solves.
     pub reused_work: usize,
     /// Constraint bounds (parametric schedulers) or circulation arc pairs
-    /// (weighted dual) that actually changed when the context's engine was
-    /// re-targeted at this call's system — the delta the incremental
-    /// machinery replays. Zero on cold solves.
+    /// whose cap or cost changed since the context's previous solve
+    /// (weighted dual) — the delta the incremental machinery replays.
+    /// Zero on cold solves.
     pub delta_arcs: usize,
     /// Distinct variables whose potentials moved across this call's
     /// relaxations, or — for the weighted dual's circulation — the
-    /// endpoint nodes of the changed arc pairs (the affected region).
+    /// endpoint nodes of the changed arc pairs.
     pub affected_vertices: usize,
-    /// Dijkstra rounds the weighted dual's circulation ran (the round
-    /// histogram's first axis; zero for schedulers without a circulation
-    /// and on warm re-solves whose rebind changed nothing).
+    /// Network-simplex pivots the weighted dual's circulation ran,
+    /// degenerate ones included (zero for schedulers without a
+    /// circulation and on warm re-solves whose costs changed nothing).
     pub rounds: usize,
-    /// Augmenting paths the circulation routed. `paths / rounds` is the
-    /// mean bulk-augmentation width; rounds ≈ paths is the near-unique-
-    /// distance regime the quantization ladder attacks.
+    /// Non-degenerate pivots: those that moved flow around their cycle.
     pub paths: usize,
-    /// Most paths any single Dijkstra round served — the widest plateau
-    /// the admissible subgraph offered this call.
+    /// Always 0: the network simplex has no multi-path rounds. Kept so
+    /// the telemetry schema stays stable.
     pub max_plateau: usize,
-    /// Label of the circulation engine variant that served this call
-    /// (`"ssp-sequential"` or `"quant-ladder"`); `None` for schedulers
-    /// that run no circulation.
+    /// Label of the circulation engine that served this call
+    /// (`"network-simplex"`); `None` for schedulers that run no
+    /// circulation.
     pub backend: Option<&'static str>,
 }
 
@@ -125,13 +123,9 @@ pub struct SkewContext {
     /// Engine of the weighted-schedule feasibility pre-check.
     weighted: Option<ParametricSystem>,
     /// Persistent min-cost-circulation engine of the weighted-sum dual
-    /// (flow + integer potentials), reused while the arc topology matches.
+    /// (flow + spanning-tree basis), reused while the arc topology
+    /// matches.
     circulation: Option<CirculationState>,
-    /// Which circulation engine the weighted dual should run
-    /// ([`CirculationBackend::Auto`] resolves to the quantization ladder,
-    /// see [`effective_backend`]); applied to the leased engine on every
-    /// call, so a config change takes effect even on a warm engine.
-    backend: CirculationBackend,
 }
 
 impl SkewContext {
@@ -140,12 +134,11 @@ impl SkewContext {
         Self::default()
     }
 
-    /// Selects the circulation backend the weighted dual will use. The
-    /// schedule is bit-identical across backends (both end in the same
-    /// canonical-distance recovery); only the route to the optimal flow
-    /// differs.
+    /// Selects the circulation backend the weighted dual will use. There
+    /// is one, [`CirculationBackend::NetworkSimplex`], so this is a no-op
+    /// kept for configuration compatibility.
     pub fn set_circulation_backend(&mut self, backend: CirculationBackend) {
-        self.backend = backend;
+        let CirculationBackend::NetworkSimplex = backend;
     }
 }
 
@@ -484,13 +477,13 @@ const COST_SCALE: f64 = 1_099_511_627_776.0;
 
 /// [`weighted_schedule_with_stats`] with warm-start context: the timing
 /// feasibility pre-check relaxes from the previous iteration's potentials,
-/// and the min-cost-circulation dual re-solves incrementally on the
-/// engine carried in the context — flow and potentials persist across
-/// phase re-wrap rounds and flow iterations, so only the arcs whose costs
-/// or bounds actually moved are de/re-saturated and the resulting small
-/// imbalances routed. The recovered schedule comes from the engine's
-/// canonical integer duals, which are a constant of the quantized problem
-/// (see [`COST_SCALE`]), so warm and cold schedules are bit-identical.
+/// and the min-cost-circulation dual re-solves on the engine carried in
+/// the context. When the capacities (the weights) are unchanged — the
+/// phase re-wrap rounds, where only ideals move — the network simplex
+/// resumes from the previous basis; otherwise it starts cold. The
+/// recovered schedule comes from the engine's canonical integer duals,
+/// which are a constant of the quantized problem (see [`COST_SCALE`]), so
+/// warm and cold schedules are bit-identical.
 ///
 /// # Panics
 ///
@@ -503,24 +496,22 @@ pub fn weighted_schedule_ctx(
     m: f64,
     ctx: &mut SkewContext,
 ) -> (SkewSchedule, SkewStats) {
-    weighted_schedule_hinted(graph, tech, ideal, weight, m, ctx, None)
+    weighted_schedule_inner(graph, tech, ideal, weight, m, ctx, false)
 }
 
-/// [`weighted_schedule_ctx`] with the converged-FF dropout hint of the
-/// phase re-wrap loop: `rewrapped` lists, once each, the flip-flop
-/// indices whose `ideal` moved since the previous call on this context,
-/// certifying the rest of the problem — every other flip-flop's
-/// parameters and the whole constraint system (same graph, technology,
-/// slack, and weights) — as byte-identical to that call's. The certified complement is frozen out
-/// of the circulation's rebind scan ([`Circulation::solve_hinted`];
-/// surfaced as nonzero frozen-pair reuse). The hint applies only on a
-/// warm engine under the quantization-ladder backend, and it is a pure
-/// accelerator: schedules are byte-identical with or without it.
+/// [`weighted_schedule_ctx`] for a phase re-wrap round: `rewrapped` lists
+/// the flip-flops whose `ideal` moved since the previous call on this
+/// context, which solved the same system with the same weights. Only
+/// reference-arc costs change, so the circulation resumes from the
+/// carried basis. The list itself feeds only a debug check that the
+/// capacities are indeed unchanged; schedules equal those of
+/// [`weighted_schedule_ctx`] bit for bit.
 ///
 /// # Panics
 ///
 /// Same conditions as [`weighted_schedule`]; debug builds additionally
-/// panic if the caller's certificate is violated.
+/// panic if the context carries an engine for this system whose
+/// capacities differ.
 pub fn weighted_schedule_rewrap_ctx(
     graph: &SequentialGraph,
     tech: &Technology,
@@ -530,37 +521,34 @@ pub fn weighted_schedule_rewrap_ctx(
     ctx: &mut SkewContext,
     rewrapped: &[u32],
 ) -> (SkewSchedule, SkewStats) {
-    weighted_schedule_hinted(graph, tech, ideal, weight, m, ctx, Some(rewrapped))
+    debug_assert!(rewrapped.iter().all(|&i| (i as usize) < ideal.len()));
+    weighted_schedule_inner(graph, tech, ideal, weight, m, ctx, true)
 }
 
-fn weighted_schedule_hinted(
+fn weighted_schedule_inner(
     graph: &SequentialGraph,
     tech: &Technology,
     ideal: &[f64],
     weight: &[f64],
     m: f64,
     ctx: &mut SkewContext,
-    ff_hint: Option<&[u32]>,
+    rewrap: bool,
 ) -> (SkewSchedule, SkewStats) {
     let n = graph.flip_flops().len();
     assert_eq!(ideal.len(), n);
     assert_eq!(weight.len(), n);
     let (sys, _) = timing_system(graph, tech, m, 0);
-    let (pre_reused, pre_delta, pre_solves, pre_affected) = {
+    {
         // The pre-check system is all-zero tighten, so the rebound engine's
         // delta seeding applies at any probe parameter: after the first
         // converged probe, subsequent calls relax only from changed arcs —
         // across re-wrap rounds with unchanged bounds that is zero seeds
         // and an instant re-certification.
         let tighten = vec![0.0; sys.constraints().len()];
-        let (mut par, reused, delta) = lease_engine(&mut ctx.weighted, &sys, &tighten);
-        let solves0 = par.solves();
-        let affected0 = par.affected_vertices();
+        let (mut par, _, _) = lease_engine(&mut ctx.weighted, &sys, &tighten);
         assert!(par.probe(0.0), "timing constraints infeasible at slack {m}");
-        let out = (reused, delta, par.solves() - solves0, par.affected_vertices() - affected0);
         ctx.weighted = Some(par);
-        out
-    };
+    }
 
     // Dual network: node per flip-flop + reference node R = n.
     // Constraint y_i − y_j ≤ b  ⇒ arc i → j, cost b, cap ∞.
@@ -578,14 +566,14 @@ fn weighted_schedule_hinted(
     // (capacity 0 when its weight rounds to 0, which keeps the pair inert
     // without changing the node/arc layout) — so the engine in the context
     // is rebuilt only when the topology genuinely differs (e.g. across a
-    // ring-grid sweep) and warm-starts otherwise.
+    // ring-grid sweep) and carried otherwise.
     const W_SCALE: f64 = 64.0;
     let quantize = |x: f64| (x * COST_SCALE).round() as i64;
     // Every negative-cost simple cycle crosses R (cycles of constraint
     // arcs alone sum ≥ 0 — the system is feasible), so circulation flow on
     // any constraint arc is bounded by the total R-arc capacity. A finite
-    // cap lets the solver saturate negative-bound constraint arcs without
-    // overflow while changing no optimum.
+    // cap bounds every pivot's flow change on negative-bound constraint
+    // arcs while changing no optimum.
     let w_caps: Vec<i64> = weight.iter().map(|&w| ((w * W_SCALE).round() as i64).max(0)).collect();
     let total_w: i64 = w_caps.iter().sum::<i64>().max(1);
     let n_arcs = sys.constraints().len() + 2 * n;
@@ -610,27 +598,12 @@ fn weighted_schedule_hinted(
         Some(s) if s.pairs == pairs => (s, true),
         _ => (CirculationState { engine: Circulation::new(n + 1, &pairs), pairs }, false),
     };
-    state.engine.set_backend(ctx.backend);
-    // The dropout hint rides only the quantization-ladder backend: it is a
-    // pure accelerator (results are byte-identical), but keeping the SSP
-    // solve path untouched keeps every A/B attribution clean. Flip-flop
-    // `i` owns the R-arc pairs `n_constraints + 2i` and `+ 1`; every other
-    // pair is certified unchanged since the previous call on this context,
-    // which was the engine's last solve.
-    let assist = effective_backend(ctx.backend) == CirculationBackend::QuantLadder;
-    let n_constraints = sys.constraints().len();
-    let hint: Option<Vec<u32>> = ff_hint.filter(|_| warm && assist).map(|rewrapped| {
-        rewrapped
-            .iter()
-            .flat_map(|&i| {
-                let fwd = (n_constraints + 2 * i as usize) as u32;
-                [fwd, fwd + 1]
-            })
-            .collect()
-    });
-    let circ_stats = state.engine.solve_hinted(&caps, &costs, warm, hint.as_deref());
+    debug_assert!(
+        !(rewrap && warm) || state.engine.caps() == caps,
+        "a re-wrap round must keep the previous call's weights"
+    );
+    let circ_stats = state.engine.solve(&caps, &costs, warm);
     let d = state.engine.canonical_distances();
-    let backend_label = state.engine.backend_label();
     ctx.circulation = Some(state);
     // Shift so the reference node maps to 0 (pure normalization; all
     // constraints are differences). Integer subtraction, then one exact
@@ -640,21 +613,14 @@ fn weighted_schedule_hinted(
     debug_assert!(sys.check(&targets, 1e-6), "dual recovery violated timing");
     let stats = SkewStats {
         constraints: sys.constraints().len(),
-        solver_iterations: circ_stats.correction_paths + pre_solves,
-        // Frozen pairs are carried work too: the dropout hint certified
-        // them unchanged, so the rebind scan never even read them.
-        reused_work: circ_stats.reused_arcs + circ_stats.frozen_pairs + pre_reused,
-        // Warm-rebind delta of the circulation (arc pairs whose caps or
-        // costs actually changed, and their endpoint nodes) plus the
-        // pre-check engine's replayed bounds — so the reuse columns mean
-        // "work replayed this iteration" here exactly as in the
-        // parametric stages, instead of flapping to the full arc count.
-        delta_arcs: pre_delta + circ_stats.delta_pairs,
-        affected_vertices: pre_affected + circ_stats.touched_nodes,
-        rounds: circ_stats.rounds,
-        paths: circ_stats.correction_paths,
-        max_plateau: circ_stats.max_round_paths,
-        backend: Some(backend_label),
+        solver_iterations: circ_stats.pivots,
+        reused_work: circ_stats.reused_arcs,
+        delta_arcs: circ_stats.delta_pairs,
+        affected_vertices: circ_stats.touched_nodes,
+        rounds: circ_stats.pivots,
+        paths: circ_stats.nondegenerate_pivots,
+        max_plateau: 0,
+        backend: Some(CirculationBackend::NetworkSimplex.label()),
     };
     (SkewSchedule { targets, slack: m, period: tech.clock_period }, stats)
 }
@@ -820,10 +786,10 @@ mod tests {
 
     #[test]
     fn duplicate_probe_replays_memoized_distances() {
-        // A repeated call at identical parameters is a warm re-solve whose
-        // rebind finds no changed pair: the carried optimum is already
-        // certified, so it runs zero rounds and returns a bit-identical
-        // schedule with no delta anywhere.
+        // A repeated call at identical parameters is a warm re-solve that
+        // finds no changed pair: the carried basis is already optimal, so
+        // it runs zero pivots and returns a bit-identical schedule with no
+        // delta anywhere.
         let c = pipeline(5);
         let tech = Technology::default();
         let g = graph(&c);
@@ -837,7 +803,7 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(stats.delta_arcs, 0, "nothing changed, nothing replayed");
-        assert_eq!(stats.rounds, 0, "an unchanged rebind needs no Dijkstra round");
+        assert_eq!(stats.rounds, 0, "an unchanged carried basis needs no pivot");
 
         // A different parameter re-solves from the carried state.
         let moved: Vec<f64> = ideal.iter().map(|t| t + 0.02).collect();

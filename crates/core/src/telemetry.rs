@@ -122,41 +122,42 @@ pub struct StageRecord {
     /// Work units served from a cross-iteration cache instead of being
     /// recomputed (e.g. candidate ring lists reused by stage 3, LP columns
     /// a carried simplex basis mapped by stable key, flow-arc pairs the
-    /// transportation engine carried untouched across the rebind, or
+    /// transportation engine carried untouched across the rebind,
     /// constraint arcs a delta-rebound parametric engine did not have to
-    /// re-examine). Zero for stages without a cache.
+    /// re-examine, or — stage 4 — the spanning-tree arcs of the carried
+    /// network-simplex basis that warm circulation solves resumed from).
+    /// Zero for stages without a cache.
     pub reused_work: usize,
-    /// Constraint arcs (stages 2/4), LP columns (stage 3, eq. 3 route),
-    /// or flow-arc pairs (stage 3, network-flow route) whose bounds,
-    /// costs, or existence actually changed when a persistent solver
-    /// engine was re-targeted at this pass's system — the delta the
-    /// incremental path replays. Zero for stages without such an engine.
+    /// Constraint arcs (stage 2), LP columns (stage 3, eq. 3 route),
+    /// flow-arc pairs (stage 3, network-flow route), or circulation arc
+    /// pairs (stage 4) whose bounds, caps, costs, or existence actually
+    /// changed when a persistent solver engine was re-targeted at this
+    /// pass's system — the delta the incremental path replays. Zero for
+    /// stages without such an engine.
     pub delta_arcs: usize,
     /// Distinct variables whose labels moved during this pass's
     /// relaxations — the affected region the delta seeding propagated
     /// through; for stage 3 the pivots the warm-started simplex spent
     /// reaching the new optimum (eq. 3 route) or the distinct network
-    /// nodes the transportation rebind touched (network-flow route). Zero
-    /// for stages without relaxation solves.
+    /// nodes the transportation rebind touched (network-flow route); for
+    /// stage 4 the distinct endpoints of the changed circulation pairs.
+    /// Zero for stages without relaxation solves.
     pub affected_vertices: usize,
-    /// Stage-4 round histogram, first axis: Dijkstra rounds the
-    /// circulation ran across this pass's solves. Zero for other stages.
+    /// Stage 4: network-simplex pivots of this pass's circulation solves,
+    /// degenerate pivots and bound flips included. Zero for other stages.
     pub rounds: usize,
-    /// Stage-4 round histogram, second axis: augmenting paths routed.
-    /// `paths / rounds` is the mean bulk-augmentation width; rounds ≈
-    /// paths is the near-unique-distance regime the quantization ladder
-    /// attacks. Zero for other stages.
+    /// Stage 4: non-degenerate pivots (those that moved flow around their
+    /// cycle); `paths / rounds` is the non-degenerate share. Zero for
+    /// other stages.
     pub paths: usize,
-    /// Most paths any single Dijkstra round of this pass served — the
-    /// widest plateau the admissible subgraph offered. Zero for other
-    /// stages.
+    /// Always 0. The network simplex has no multi-path rounds; the field
+    /// keeps the record schema stable.
     pub max_plateau: usize,
     /// Label of the solver backend that served this pass (stage 4: the
-    /// circulation engine `"ssp-sequential"` or `"quant-ladder"`; stage 3
-    /// on the eq. 3 route: `"lp-cold"`, `"lp-warm"`, or
-    /// `"lp-dual-repair"`; stage 3 on the network-flow route: the
-    /// transportation engine's `"tp-cold"` or `"tp-warm"`). Empty for
-    /// stages without a backend choice.
+    /// circulation engine `"network-simplex"`; stage 3 on the eq. 3
+    /// route: `"lp-cold"`, `"lp-warm"`, or `"lp-dual-repair"`; stage 3 on
+    /// the network-flow route: the transportation engine's `"tp-cold"` or
+    /// `"tp-warm"`). Empty for stages without a backend choice.
     pub backend: &'static str,
 }
 
@@ -345,12 +346,13 @@ impl StageScope<'_> {
         self.affected_vertices += vertices;
     }
 
-    /// Accumulates circulation Dijkstra rounds attributed to this pass.
+    /// Accumulates circulation pivots attributed to this pass.
     pub fn add_rounds(&mut self, rounds: usize) {
         self.rounds += rounds;
     }
 
-    /// Accumulates circulation augmenting paths attributed to this pass.
+    /// Accumulates non-degenerate circulation pivots attributed to this
+    /// pass.
     pub fn add_paths(&mut self, paths: usize) {
         self.paths += paths;
     }
@@ -426,7 +428,7 @@ mod tests {
             scope.add_paths(40);
             scope.note_max_plateau(6);
             scope.note_max_plateau(4);
-            scope.set_backend("quant-ladder");
+            scope.set_backend("network-simplex");
         }
         assert_eq!(t.records().len(), 1);
         let r = t.records()[0];
@@ -440,7 +442,7 @@ mod tests {
         assert_eq!(r.rounds, 11);
         assert_eq!(r.paths, 40);
         assert_eq!(r.max_plateau, 6, "plateau watermark is a max, not a sum");
-        assert_eq!(r.backend, "quant-ladder");
+        assert_eq!(r.backend, "network-simplex");
         assert!(r.seconds >= 0.0);
     }
 
@@ -497,7 +499,7 @@ mod tests {
         let mut t = FlowTelemetry::new();
         t.push(record(Stage::InitialPlacement, 0, 0.25));
         let mut s4 = record(Stage::SkewOptimization, 0, 0.5);
-        s4.backend = "ssp-sequential";
+        s4.backend = "network-simplex";
         t.push(s4);
         let json = t.to_json();
         assert!(json.contains("\"stage\": \"initial_placement\""));
@@ -511,7 +513,7 @@ mod tests {
         assert!(json.contains("\"paths\": 0"));
         assert!(json.contains("\"max_plateau\": 0"));
         assert!(json.contains("\"backend\": \"\""), "no-backend stages serialize empty");
-        assert!(json.contains("\"backend\": \"ssp-sequential\""));
+        assert!(json.contains("\"backend\": \"network-simplex\""));
         // Balanced braces/brackets (cheap well-formedness check).
         assert_eq!(json.matches('{').count(), json.matches('}').count(),);
         assert_eq!(json.matches('[').count(), json.matches(']').count(),);

@@ -22,10 +22,11 @@
 //!   shared by the pricing scan here and the tapping kernels in
 //!   `rotary-core`.
 //! * [`mcmf`] — min-cost max-flow via successive shortest paths with
-//!   Johnson potentials, plus two min-cost *circulation* engines for the
-//!   weighted-sum skew optimization dual: the one-shot `f64` reference and
-//!   the incremental integer-cost [`mcmf::Circulation`] (CSR residual
-//!   storage, bulk augmentation, warm re-solves) the flow runs on.
+//!   Johnson potentials, the one-shot `f64` min-cost *circulation*
+//!   reference, the incremental stage-3 transportation engine, and the
+//!   primal network simplex [`mcmf::Circulation`] the flow runs for the
+//!   weighted-sum skew optimization dual (warm re-solves resume from the
+//!   carried spanning-tree basis).
 //! * [`difference`] — feasibility and optimization of difference-constraint
 //!   systems (`y_i − y_j ≤ b_ij`) via shortest paths; the graph-based
 //!   engine behind max-slack and minimax skew scheduling.

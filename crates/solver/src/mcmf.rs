@@ -1,6 +1,6 @@
 //! Min-cost network flow.
 //!
-//! Three entry points:
+//! Four entry points:
 //!
 //! * [`FlowNetwork::min_cost_flow`] — successive shortest augmenting paths
 //!   with Johnson potentials (Dijkstra inside); optimal for the flip-flop
@@ -8,41 +8,38 @@
 //!   and integral capacities.
 //! * [`FlowNetwork::min_cost_circulation`] — saturate every negative-cost
 //!   arc, then route the resulting imbalances back via successive shortest
-//!   paths; the original one-shot engine for the dual of the weighted-sum
-//!   skew optimization, where arcs carry signed costs and no source/sink
-//!   exists. Kept as the reference implementation.
+//!   paths; the original one-shot `f64` engine for the dual of the
+//!   weighted-sum skew optimization, kept as the reference oracle of the
+//!   circulation tests.
 //! * [`Transportation`] — the incremental engine behind the stage-3
-//!   flip-flop → ring assignment: exact integer costs on the same
-//!   paired-slot CSR layout as [`Circulation`], warm re-solves that carry
-//!   flow keyed by `(ff, ring)` and dual potentials across Fig.-3
-//!   iterations, and a canonical-dual extraction that makes warm and cold
-//!   assignments bit-identical by construction.
-//! * [`Circulation`] — the incremental engine the flow actually runs:
-//!   fixed topology built once into flat CSR adjacency (mirroring
-//!   [`crate::graph::WarmSpfa`]), exact *integer* arc costs, primal-dual
-//!   rounds (each multi-source Dijkstra serves its settled deficits along
-//!   the shortest-path trees, then reroutes any saturation shortfall with
-//!   a root-guided blocking flow over the admissible subgraph — not one
-//!   path per round), and warm re-solves that keep the previous flow and
-//!   potentials when only caps/costs change.
+//!   flip-flop → ring assignment: exact integer costs on a paired-slot CSR
+//!   residual layout, warm re-solves that carry flow keyed by
+//!   `(ff, ring)` and dual potentials across Fig.-3 iterations, and a
+//!   canonical-dual extraction that makes warm and cold assignments
+//!   bit-identical by construction.
+//! * [`Circulation`] — the stage-4 engine the flow actually runs: a primal
+//!   network simplex (artificial root, strongly feasible spanning tree,
+//!   block-search pricing) over exact *integer* arc costs. A re-solve
+//!   with unchanged caps — the phase re-wrap, where only reference-arc
+//!   costs move — resumes from the carried basis; any cap change starts
+//!   from the artificial basis.
 //!
 //! [`FlowNetwork`] costs are `f64` with a small comparison tolerance;
-//! [`Circulation`] costs are `i64` (callers quantize once) so optimality
-//! is exact and the recovered duals are canonical. Capacities are integral
-//! (`i64`) everywhere, so augmentations preserve integrality and the
-//! assignment solutions are automatically 0/1.
+//! [`Circulation`] and [`Transportation`] costs are `i64` (callers
+//! quantize once) so optimality is exact and the recovered duals are
+//! canonical. Capacities are integral (`i64`) everywhere, so
+//! augmentations preserve integrality and the assignment solutions are
+//! automatically 0/1.
 //!
 //! No relaxation loop lives in this module: all Bellman–Ford-style work
 //! (potential initialization, negative-cycle search, optimal and canonical
 //! potentials) runs on the shared SPFA kernel in [`crate::graph`], and the
 //! Dijkstra passes of the successive-shortest-path methods run on the
 //! generic [`crate::graph::Dijkstra`] kernel — [`FlowNetwork`] with `f64`
-//! reduced costs, [`Circulation`] and [`Transportation`] with exact `i64`
-//! reduced costs.
+//! reduced costs, [`Transportation`] with exact `i64` reduced costs.
 
 use crate::graph::{Dijkstra, RelaxOutcome, SettleControl, Source, SpfaGraph, WarmSpfa, NO_PRED};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// Node handle in a [`FlowNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -361,39 +358,26 @@ impl FlowNetwork {
 /// Effort counters of one [`Circulation::solve`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CirculationStats {
-    /// Correction paths augmented in phase 2 (one per served deficit).
-    pub correction_paths: usize,
-    /// Multi-source Dijkstra rounds (each serves a batch of deficits).
-    pub rounds: usize,
-    /// Largest number of correction paths any single round served — the
-    /// plateau width of the admissible subgraph. 1 means every round was
-    /// a single path (the rounds-≈-paths regime of near-unique quantized
-    /// distances); large values mean bulk augmentation fired.
-    pub max_round_paths: usize,
-    /// Residual arcs force-saturated in phase 1 (negative reduced cost
-    /// under the starting potentials).
-    pub saturated_arcs: usize,
-    /// Arc pairs whose carried flow survived the cap update untouched —
-    /// work a cold solve would redo from scratch. Zero on cold solves.
+    /// Simplex pivots: entering arcs the block-search pricing selected,
+    /// degenerate pivots and bound flips included.
+    pub pivots: usize,
+    /// Pivots that moved a positive amount of flow around their cycle.
+    pub nondegenerate_pivots: usize,
+    /// Spanning-tree arcs (pairs, not artificial root arcs) of the basis a
+    /// warm solve resumed from. Zero on cold solves.
     pub reused_arcs: usize,
-    /// Arc pairs whose cap or cost actually changed relative to the warm
-    /// engine state (the warm-rebind delta: only these pairs are
-    /// re-checked for saturation). Zero on cold solves.
+    /// Pairs whose cap or cost differs from the previous solve on this
+    /// engine. Zero when the caller asked for a cold solve.
     pub delta_pairs: usize,
-    /// Distinct endpoint nodes of the changed pairs. Zero on cold solves.
+    /// Distinct endpoint nodes of the changed pairs. Zero when the caller
+    /// asked for a cold solve.
     pub touched_nodes: usize,
-    /// Arc pairs a [`Circulation::solve_hinted`] caller certified
-    /// unchanged, which the rebind therefore never scanned (the
-    /// converged-subgraph dropout). Zero without a hint.
-    pub frozen_pairs: usize,
 }
 
 const NO_ARC: u32 = u32::MAX;
 
-/// Borrowed residual arrays + DFS scratch of an incremental engine, as
-/// [`admissible_blocking_flow`] needs them. Both [`Circulation`] and
-/// [`Transportation`] keep the same paired-slot layout, so the admissible
-/// blocking-flow pass is one shared routine instead of two copies.
+/// Borrowed residual arrays + DFS scratch of the [`Transportation`]
+/// engine, as [`admissible_blocking_flow`] needs them.
 struct BlockingScratch<'a> {
     heads: &'a [u32],
     cap: &'a mut [i64],
@@ -524,164 +508,90 @@ fn admissible_blocking_flow(
 
 /// Which min-cost-circulation algorithm [`Circulation::solve`] runs.
 ///
-/// Both backends terminate at an *exactly* optimal integer circulation, and
-/// [`Circulation::canonical_distances`] recovers duals that are a constant
-/// of the quantized problem — so schedules derived from either backend are
-/// byte-identical. The choice is purely a performance knob:
-///
-/// * [`Self::SuccessiveShortestPaths`] pays per augmenting path; on
-///   near-unique 2^40-quantized distances rounds ≈ paths, which caps it on
-///   large cold instances.
-/// * [`Self::QuantLadder`] runs the same SSP machinery through a
-///   coarse-to-fine ladder of cost quantizations: coarse levels have
-///   plateau-rich distances (bulk augmentation serves many deficits per
-///   Dijkstra round), and each finer level is a warm repair of the
-///   previous level's optimum; the final level runs at the exact input
-///   costs, so optimality is identical to the direct solve.
-///
-/// The configured value can be overridden process-wide by the
-/// `ROTARY_MCMF_BACKEND` environment variable (see [`parse_backend`] for
-/// the accepted names), read once and cached like
-/// [`crate::par::default_max_threads`].
+/// One engine is left, the primal network simplex; the enum stays so
+/// `FlowConfig` and `SkewContext` keep their configuration surface.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CirculationBackend {
-    /// Resolves to the empirically fastest backend for this machine class
-    /// (see [`effective_backend`]). Currently the quantization ladder:
-    /// it shares the SSP warm path exactly and won the cold solves on
-    /// every measured suite and route in interleaved A/B (1.1–1.3×
-    /// stage-4 wall clock, 29–41% fewer Dijkstra rounds; see
-    /// EXPERIMENTS.md). The variant exists so the policy can change
-    /// with evidence without touching any caller.
+    /// Primal network simplex with block-search pricing.
     #[default]
-    Auto,
-    /// Saturate-and-correct with multi-source Dijkstra rounds (the PR-5
-    /// engine).
-    SuccessiveShortestPaths,
-    /// Coarse-to-fine quantization ladder of warm SSP repairs on cold
-    /// solves (effective 4-quantization → exact, see [`LADDER_SHIFTS`])
-    /// with wide full-settle plateau rounds, plus the converged-subgraph
-    /// dropout hint layered on by `core::skew`.
-    QuantLadder,
+    NetworkSimplex,
 }
 
-/// Every name [`parse_backend`] accepts, for error listings.
-pub const BACKEND_NAMES: &str =
-    "auto, ssp / successive_shortest_paths, quant_ladder / quant-ladder / ql";
-
-/// Parses a backend name as accepted by the `ROTARY_MCMF_BACKEND`
-/// environment variable and the `tables --backend` flag. Unknown names
-/// return an error listing every valid value — never a silent fallback.
-pub fn parse_backend(name: &str) -> Result<CirculationBackend, String> {
-    match name.trim().to_ascii_lowercase().as_str() {
-        "auto" => Ok(CirculationBackend::Auto),
-        "ssp" | "successive_shortest_paths" => Ok(CirculationBackend::SuccessiveShortestPaths),
-        "quant_ladder" | "quant-ladder" | "ql" => Ok(CirculationBackend::QuantLadder),
-        other => Err(format!("unknown circulation backend `{other}`; valid: {BACKEND_NAMES}")),
-    }
-}
-
-/// The `ROTARY_MCMF_BACKEND` override, if the variable is set.
-/// Read once per process and cached.
-///
-/// # Panics
-///
-/// Panics if the variable is set to an unrecognized value (listing the
-/// valid names) — a typo'd backend override must never silently fall back
-/// to the default and invalidate an A/B measurement.
-pub fn env_backend() -> Option<CirculationBackend> {
-    static BACKEND: OnceLock<Option<CirculationBackend>> = OnceLock::new();
-    *BACKEND.get_or_init(|| {
-        let v = std::env::var("ROTARY_MCMF_BACKEND").ok()?;
-        match parse_backend(&v) {
-            Ok(b) => Some(b),
-            Err(msg) => panic!("ROTARY_MCMF_BACKEND: {msg}"),
+impl CirculationBackend {
+    /// Telemetry label of the backend (`"network-simplex"`).
+    pub fn label(self) -> &'static str {
+        match self {
+            Self::NetworkSimplex => "network-simplex",
         }
-    })
-}
-
-/// The backend a solve configured with `configured` will actually run:
-/// the `ROTARY_MCMF_BACKEND` override wins, then the configured value;
-/// [`CirculationBackend::Auto`] resolves to the empirically fastest
-/// backend — the quantization ladder, which won the interleaved A/B on
-/// every measured suite and route (see EXPERIMENTS.md "Runtime —
-/// stage-4 quantization ladder"; its warm path is the SSP warm path, so
-/// the promotion only changes cold solves). Never returns `Auto`.
-pub fn effective_backend(configured: CirculationBackend) -> CirculationBackend {
-    match env_backend().unwrap_or(configured) {
-        CirculationBackend::Auto => CirculationBackend::QuantLadder,
-        resolved => resolved,
     }
 }
 
-/// The quantization-ladder refinement schedule: right-shift amounts
-/// applied to the exact 2^40-quantized costs, coarsest first. Shift 38
-/// solves at an effective 4-quantization — skew costs are O(1) in
-/// periods (≲ 2^41 once scaled), so level costs collapse to a handful
-/// of distinct values and path distances tie constantly: the wide
-/// full-settle rounds drain whole plateaus per blocking pass (~160
-/// paths/round on s35932 versus ~1 for direct 2^40 SSP). The second
-/// level is shift 0 — the exact costs — entered with the coarse
-/// potentials scaled up: the repair it runs is bulk work too (the
-/// unwind excess is broad and shallow), and its exactness certifies
-/// optimality and pins the canonical dual face. Intermediate 8- or
-/// 16-bit steps were measured and lost: every extra level re-unwinds
-/// the tight flow-carrying arcs (~one path per flip-flop) without
-/// making the final repair any cheaper.
-const LADDER_SHIFTS: [u32; 2] = [38, 0];
+/// No parent / no predecessor arc (the artificial root's tree links).
+const NONE: u32 = u32::MAX;
+/// Tree-arc orientation: the arc points from the node to its parent.
+const UP: i8 = 1;
+/// Tree-arc orientation: the arc points from the parent to the node.
+const DOWN: i8 = -1;
+/// Arc state: nonbasic at zero flow. The state multiplies the reduced cost
+/// in pricing, so an arc is eligible exactly when `state · rc < 0`.
+const LOWER: i8 = 1;
+/// Arc state: spanning-tree arc. Zero-capacity pairs also sit at 0: they
+/// can never carry flow, so pricing skips them.
+const TREE: i8 = 0;
+/// Arc state: nonbasic at full capacity.
+const UPPER: i8 = -1;
+
+/// The cycle one pivot works on: the entering arc, the apex of its tree
+/// cycle, the leaving arc's lower endpoint `u_out`, the endpoint `u_in`
+/// whose subtree is re-hung below `v_in`, and the flow change `delta`.
+struct Pivot {
+    in_arc: usize,
+    join: usize,
+    u_in: usize,
+    v_in: usize,
+    u_out: usize,
+    delta: i64,
+}
 
 /// Incremental min-cost circulation over a fixed arc topology.
 ///
 /// Built once from `(from, to)` endpoint pairs; every [`Self::solve`] call
 /// supplies fresh capacities and **integer** costs for the same pairs.
-/// Storage is flat: paired residual slots (`2k` forward, `2k + 1` twin,
-/// twin of slot `a` is `a ^ 1`) and a CSR adjacency over the slots, so the
-/// scan of a node's residual out-arcs is one contiguous slice — no
-/// `Vec<Vec<u32>>` pointer chasing, no per-solve graph rebuild.
 ///
-/// The algorithm is saturate-and-correct, like
-/// [`FlowNetwork::min_cost_circulation`], with three upgrades:
+/// The algorithm is the primal network simplex in the form of LEMON's
+/// `NetworkSimplex` (Kovács, "Minimum-cost flow algorithms: an
+/// experimental evaluation", Optim. Methods Softw. 2015):
 ///
-/// * **Primal-dual blocking-flow rounds** — each round runs one
-///   multi-source Dijkstra (from all excess nodes, on reduced costs, via
-///   the shared [`Dijkstra`] kernel) that stops as soon as the settled
-///   deficits can absorb the outstanding excess, applies the capped
-///   potential update `π_v += min(dist_v, d_max)` (where `d_max` is the
-///   stopping distance; it keeps every residual reduced cost
-///   non-negative), and then serves
-///   the settled deficits along their shortest-path trees at O(path) per
-///   push. Only when tree pushes collide on shared saturated arcs does a
-///   *blocking flow* run over the admissible (reduced-cost-zero)
-///   subgraph — a current-arc DFS from the shortest-path-tree roots that
-///   reroutes the shortfall through the detours only a plateau-rich
-///   residual has. One label pass therefore serves as many augmentations
-///   as the admissible graph supports: on warm re-wrap solves (carried
-///   potentials leave wide reduced-cost-zero regions) this collapses
-///   rounds by an order of magnitude, while on near-unique distances the
-///   admissible graph is a path, rounds stay ≈ one per augmentation, and
-///   the serve never pays the graph-scan DFS at all.
-/// * **Warm starts** — flow and potentials persist across solves. A
-///   re-solve clamps the carried flow to the new caps (shedding surplus as
-///   excess/deficit pairs), re-saturates the arcs whose reduced cost went
-///   negative under the new costs, and routes only the resulting small
-///   imbalances. When few arcs changed, that is a handful of short
-///   corrections instead of thousands of full-graph rounds.
-/// * **Per-pair early termination** — a warm re-solve diffs the incoming
-///   caps/costs against the engine state and re-checks saturation only
-///   for the pairs that actually changed: an unchanged pair under
-///   unchanged potentials kept its non-negative reduced cost from the
-///   previous optimality certificate, so it drops out of the rebind scan
-///   entirely. The delta is reported as [`CirculationStats::delta_pairs`]
-///   / [`CirculationStats::touched_nodes`].
+/// * **Artificial root.** Node `n` is a root with one zero-cost,
+///   uncapacitated arc `u → root` per node. The cold basis is the star of
+///   those arcs at zero flow. The root has no out-arc, so no circulation
+///   can route flow through it: artificial arcs stay at zero flow and the
+///   optimum is the optimum of the pairs alone.
+/// * **Strongly feasible spanning tree.** The tree is stored as parent /
+///   predecessor arc / preorder thread / subtree size / last successor
+///   per node. The leaving arc is the *last* blocking arc met walking the
+///   pivot cycle from its apex along the flow direction (first side `<`,
+///   second side `<=`), which keeps the tree strongly feasible, so
+///   degenerate pivots cannot cycle.
+/// * **Block-search pricing.** Pricing scans the pairs cyclically in
+///   blocks of ⌈√m⌉ and enters the most violating arc of the first block
+///   that has one.
+/// * **Warm starts.** When the caps are unchanged since the previous
+///   solve (the phase re-wrap case: only reference-arc costs move by
+///   `k·T/2`), the carried flow is still feasible and the carried tree is
+///   still a basis. The solve re-prices the tree potentials in one thread
+///   traversal and keeps pivoting. Any cap change restarts from the
+///   artificial basis.
 ///
 /// Costs are exact `i64` (callers quantize `f64` costs once, at a fixed
 /// power-of-two scale): every comparison is exact, so a terminating solve
-/// is *exactly* optimal — no tolerance slack. That exactness is what makes
-/// warm and cold solves interchangeable: the shortest residual distance
-/// from the virtual source to each node equals
-/// `OPT(circulation + unit demand) − OPT(circulation)`, a constant of the
-/// *problem* rather than of the particular optimal flow, so
-/// [`Self::canonical_distances`] returns bit-identical duals no matter
-/// which optimal circulation the solve landed on.
+/// is *exactly* optimal. That exactness is what makes warm and cold
+/// solves interchangeable: the shortest residual distance from the
+/// virtual source to each node equals `OPT(circulation + unit demand) −
+/// OPT(circulation)`, a constant of the *problem* rather than of the
+/// particular optimal flow or basis, so [`Self::canonical_distances`]
+/// returns bit-identical duals no matter which optimum the solve landed
+/// on.
 ///
 /// # Examples
 ///
@@ -692,138 +602,101 @@ const LADDER_SHIFTS: [u32; 2] = [38, 0];
 /// let mut net = Circulation::new(3, &[(0, 1), (1, 2), (2, 0)]);
 /// net.solve(&[2, 2, 2], &[-1, -1, -1], false);
 /// assert_eq!(net.total_cost(), -6);
-/// // Re-solve with one cost flipped: warm start keeps the rest.
+/// // Re-solve with one cost flipped: same caps, so the basis carries.
 /// let stats = net.solve(&[2, 2, 2], &[-1, 3, -1], true);
 /// assert_eq!(net.total_cost(), 0);
 /// assert!(stats.reused_arcs > 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Circulation {
+    /// Node count; the artificial root is node `n`.
     n: usize,
-    /// Head node per residual slot (tail of slot `a` is `heads[a ^ 1]`).
-    heads: Vec<u32>,
-    /// Residual capacity per slot (forward = cap − flow, twin = flow).
+    /// Pair count. Arc `k < m` is pair `k`; arc `m + u` is node `u`'s
+    /// artificial arc `u → root`.
+    m: usize,
+    source: Vec<u32>,
+    target: Vec<u32>,
     cap: Vec<i64>,
-    /// Signed integer cost per slot (twin = −forward).
     cost: Vec<i64>,
-    /// CSR over slots: slots leaving node `u` are
-    /// `csr_arcs[csr_start[u]..csr_start[u + 1]]`.
-    csr_start: Vec<u32>,
-    csr_arcs: Vec<u32>,
-    /// Johnson potentials; carried across warm solves.
-    potential: Vec<i64>,
-    /// Node imbalance (inflow − outflow) during a solve; all-zero between
-    /// solves.
-    excess: Vec<i64>,
+    flow: Vec<i64>,
+    state: Vec<i8>,
+    /// Spanning tree, per node (root included): parent node, predecessor
+    /// arc and its orientation, preorder thread and its inverse, subtree
+    /// size, and the last node of the subtree in thread order.
+    parent: Vec<u32>,
+    pred: Vec<u32>,
+    pred_dir: Vec<i8>,
+    thread: Vec<u32>,
+    rev_thread: Vec<u32>,
+    succ_num: Vec<u32>,
+    last_succ: Vec<u32>,
+    /// Node potentials: `cost + π_source − π_target` is zero on tree arcs.
+    pi: Vec<i64>,
+    /// Scratch of the thread update.
+    dirty_revs: Vec<u32>,
+    /// Pricing block size, ⌈√m⌉.
+    block: usize,
+    /// Where the next pricing scan starts.
+    next_arc: usize,
+    /// Whether the arrays hold the basis of an earlier solve.
+    solved: bool,
     stats: CirculationStats,
-    /// Shared-kernel Dijkstra scratch for the phase-2 label passes.
-    dij: Dijkstra<i64>,
+    /// Scratch of the changed-pair endpoint count.
+    touched: Vec<bool>,
     /// Shared-kernel SPFA over the residual slots for
-    /// [`Self::canonical_distances`] (arc id = slot id; disabled slots
-    /// return [`i64::MAX`]).
+    /// [`Self::canonical_distances`]: slot `2k` is pair `k` forward, slot
+    /// `2k + 1` its reverse.
     canon: WarmSpfa<i64>,
-    backend: CirculationBackend,
-    /// Label of the engine variant the last [`Self::solve`] actually ran
-    /// (`"ssp-sequential"` or `"quant-ladder"`) — telemetry for A/B
-    /// attribution.
-    label: &'static str,
-    /// Per-slot costs at the quantization-ladder level currently being
-    /// routed (empty unless the ladder backend ran a coarse level).
-    lcost: Vec<i64>,
-    /// Pair indices whose caps/costs changed in the current warm rebind.
-    changed: Vec<u32>,
-    /// Stamp per node marking it touched by the current rebind delta.
-    node_stamp: Vec<u32>,
-    stamp_round: u32,
-    /// Blocking-flow scratch: current-arc cursor, on-DFS-path and
-    /// exhausted-node marks, and the DFS path as a stack of arc slots.
-    cur: Vec<u32>,
-    on_path: Vec<bool>,
-    dead: Vec<bool>,
-    path: Vec<u32>,
-    /// Dedup mark while collecting the tree roots of a round's served
-    /// deficits (cleared after each round).
-    root_seen: Vec<bool>,
 }
 
 impl Circulation {
-    /// Builds the engine over `n` nodes and the given `(from, to)` pairs.
-    /// Pair `k` owns residual slots `2k` (forward) and `2k + 1` (twin);
+    /// Builds the engine over `n` nodes and the given `(from, to)` pairs;
     /// capacities and costs arrive per [`Self::solve`].
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is out of range.
     pub fn new(n: usize, pairs: &[(u32, u32)]) -> Self {
-        let mut heads = Vec::with_capacity(2 * pairs.len());
+        let m = pairs.len();
+        let mut source = Vec::with_capacity(m + n);
+        let mut target = Vec::with_capacity(m + n);
+        let mut slots = Vec::with_capacity(2 * m);
         for &(from, to) in pairs {
             assert!((from as usize) < n && (to as usize) < n, "arc ({from}, {to}) out of range");
-            heads.push(to);
-            heads.push(from);
+            source.push(from);
+            target.push(to);
+            slots.push((from as usize, to as usize));
+            slots.push((to as usize, from as usize));
         }
-        // CSR over slots, grouped by tail (= head of the twin).
-        let mut csr_start = vec![0u32; n + 1];
-        for a in 0..heads.len() {
-            csr_start[heads[a ^ 1] as usize + 1] += 1;
-        }
-        for u in 0..n {
-            csr_start[u + 1] += csr_start[u];
-        }
-        let mut cursor = csr_start.clone();
-        let mut csr_arcs = vec![0u32; heads.len()];
-        for a in 0..heads.len() {
-            let u = heads[a ^ 1] as usize;
-            csr_arcs[cursor[u] as usize] = a as u32;
-            cursor[u] += 1;
-        }
-        let slot_arcs: Vec<(usize, usize)> =
-            (0..heads.len()).map(|a| (heads[a ^ 1] as usize, heads[a] as usize)).collect();
+        source.extend(0..n as u32);
+        target.extend(std::iter::repeat_n(n as u32, n));
+        let mut cap = vec![0; m + n];
+        cap[m..].iter_mut().for_each(|c| *c = i64::MAX);
         Self {
             n,
-            heads,
-            cap: vec![0; 2 * pairs.len()],
-            cost: vec![0; 2 * pairs.len()],
-            csr_start,
-            csr_arcs,
-            potential: vec![0; n],
-            excess: vec![0; n],
+            m,
+            source,
+            target,
+            cap,
+            cost: vec![0; m + n],
+            flow: vec![0; m + n],
+            state: vec![LOWER; m + n],
+            parent: vec![NONE; n + 1],
+            pred: vec![NONE; n + 1],
+            pred_dir: vec![UP; n + 1],
+            thread: vec![0; n + 1],
+            rev_thread: vec![0; n + 1],
+            succ_num: vec![0; n + 1],
+            last_succ: vec![0; n + 1],
+            pi: vec![0; n + 1],
+            dirty_revs: Vec::new(),
+            block: ((m as f64).sqrt().ceil() as usize).max(1),
+            next_arc: 0,
+            solved: false,
             stats: CirculationStats::default(),
-            dij: Dijkstra::new(n),
-            canon: WarmSpfa::new(n, &slot_arcs),
-            backend: CirculationBackend::default(),
-            label: "",
-            lcost: Vec::new(),
-            changed: Vec::new(),
-            node_stamp: vec![u32::MAX; n],
-            stamp_round: 0,
-            cur: vec![0; n],
-            on_path: vec![false; n],
-            dead: vec![false; n],
-            path: Vec::new(),
-            root_seen: vec![false; n],
+            touched: vec![false; n],
+            canon: WarmSpfa::new(n, &slots),
         }
-    }
-
-    /// Selects the circulation backend (defaults to
-    /// [`CirculationBackend::Auto`]); the `ROTARY_MCMF_BACKEND` environment
-    /// variable overrides this process-wide. Results are byte-identical
-    /// either way — only wall clock changes.
-    pub fn set_backend(&mut self, backend: CirculationBackend) {
-        self.backend = backend;
-    }
-
-    /// Label of the engine variant the last [`Self::solve`] ran:
-    /// `"ssp-sequential"` or `"quant-ladder"` (empty before the first
-    /// solve).
-    pub fn backend_label(&self) -> &'static str {
-        self.label
-    }
-
-    /// Whether [`Self::solve`] should run the quantization ladder: the
-    /// env override first, then the configured value, with `Auto`
-    /// resolved by [`effective_backend`].
-    fn use_quant_ladder(&self) -> bool {
-        matches!(effective_backend(self.backend), CirculationBackend::QuantLadder)
     }
 
     /// Number of nodes.
@@ -833,29 +706,23 @@ impl Circulation {
 
     /// Number of arc pairs.
     pub fn num_pairs(&self) -> usize {
-        self.heads.len() / 2
+        self.m
     }
 
-    /// Flow currently on forward arc `k` (= residual capacity of its twin).
+    /// Capacities of the last [`Self::solve`], by pair.
+    pub fn caps(&self) -> &[i64] {
+        &self.cap[..self.m]
+    }
+
+    /// Flow currently on pair `k`.
     pub fn flow(&self, k: usize) -> i64 {
-        self.cap[2 * k + 1]
+        self.flow[k]
     }
 
     /// Total cost of the current circulation, `Σ flow_k · cost_k`, exact.
-    pub fn total_cost(&self) -> i64 {
-        (0..self.num_pairs())
-            .map(|k| i128::from(self.cap[2 * k + 1]) * i128::from(self.cost[2 * k]))
-            .sum::<i128>()
-            .try_into()
-            .expect("circulation cost fits i64")
-    }
-
-    /// The Johnson potentials of the last solve (certify `cost + π_u − π_v
-    /// ≥ 0` on every residual arc — exact, no tolerance). *Not* canonical
-    /// across different optimal circulations; use
-    /// [`Self::canonical_distances`] for dual recovery.
-    pub fn potentials(&self) -> &[i64] {
-        &self.potential
+    /// `i128`: flows of ~2^24 on ~2^43-scaled costs overflow `i64`.
+    pub fn total_cost(&self) -> i128 {
+        (0..self.m).map(|k| i128::from(self.flow[k]) * i128::from(self.cost[k])).sum()
     }
 
     /// Effort counters of the last [`Self::solve`].
@@ -866,500 +733,378 @@ impl Circulation {
     /// Computes a minimum-cost circulation for the given capacities and
     /// integer costs (indexed by pair, like the constructor's `pairs`).
     ///
-    /// With `warm = false` the carried flow and potentials are discarded —
-    /// a from-scratch solve. With `warm = true` the previous solve's flow
-    /// is clamped to the new caps, arcs whose reduced cost turned negative
-    /// under the carried potentials are re-saturated, and only the
-    /// resulting imbalances are routed. Either way the result is exactly
-    /// optimal; warm starting only changes how fast it arrives.
+    /// With `warm = true` and the caps of the previous solve, the carried
+    /// basis is re-priced under the new costs and pivoting resumes from
+    /// it. Otherwise the solve starts from the artificial basis. Either
+    /// way the result is exactly optimal; warm starting only changes how
+    /// fast it arrives.
     ///
     /// # Panics
     ///
     /// Panics if slice lengths disagree with the pair count or a capacity
     /// is negative.
     pub fn solve(&mut self, caps: &[i64], costs: &[i64], warm: bool) -> CirculationStats {
-        self.solve_hinted(caps, costs, warm, None)
-    }
-
-    /// [`Self::solve`] with a caller-supplied rebind hint: `hint` lists
-    /// the pair indices that *may* have changed since the previous solve
-    /// on this engine, certifying every other pair's caps and costs as
-    /// byte-identical to the engine state. The rebind diff then scans only
-    /// the hinted pairs — the frozen complement never enters the solve's
-    /// active region (reported as [`CirculationStats::frozen_pairs`]).
-    /// This is the converged-subgraph dropout of the re-wrap loop: between
-    /// phase re-wrap rounds only the re-wrapped flip-flops' reference-arc
-    /// pairs move, so the caller can name them exactly.
-    ///
-    /// The hint is a pure accelerator: the `changed` set it produces is
-    /// identical to the full diff's (hinted-but-unchanged pairs fail the
-    /// same equality test), so the solve path — and every result — is
-    /// byte-identical with or without it. Debug builds verify the
-    /// caller's certificate against the full diff.
-    ///
-    /// Ignored (full diff) when `warm` is false.
-    pub fn solve_hinted(
-        &mut self,
-        caps: &[i64],
-        costs: &[i64],
-        warm: bool,
-        hint: Option<&[u32]>,
-    ) -> CirculationStats {
-        assert_eq!(caps.len(), self.num_pairs(), "capacity vector length mismatch");
-        assert_eq!(costs.len(), self.num_pairs(), "cost vector length mismatch");
-        self.stats = CirculationStats::default();
-        debug_assert!(self.excess.iter().all(|&e| e == 0), "imbalance left by a previous solve");
-        if !warm {
-            self.potential.iter_mut().for_each(|p| *p = 0);
+        self.install(caps, costs, warm);
+        while let Some(in_arc) = self.find_entering() {
+            self.pivot(in_arc);
         }
-        self.stamp_round = self.stamp_round.wrapping_add(1);
-        if self.stamp_round == 0 {
-            self.node_stamp.iter_mut().for_each(|s| *s = u32::MAX);
-            self.stamp_round = 1;
-        }
-        self.changed.clear();
-        // Install the new caps/costs, clamping carried flow to the new
-        // capacity; shed flow becomes an excess/deficit pair routed below.
-        // Warm solves diff each pair against the engine state first: a
-        // pair with the same total capacity and forward cost is binary-
-        // identical to its previous residual state. A hint restricts the
-        // diff to the named pairs.
-        match hint {
-            Some(hinted) if warm => {
-                #[cfg(debug_assertions)]
-                self.debug_check_hint(caps, costs, hinted);
-                self.stats.frozen_pairs = self.num_pairs() - hinted.len();
-                for &k in hinted {
-                    self.rebind_pair(k as usize, caps[k as usize], costs[k as usize], true);
-                }
-            }
-            _ => {
-                for (k, (&cap_k, &cost_k)) in caps.iter().zip(costs).enumerate() {
-                    self.rebind_pair(k, cap_k, cost_k, warm);
-                }
-            }
-        }
-        self.stats.delta_pairs = self.changed.len();
-        // Backend dispatch. Both paths start from the same rebound state
-        // (installed caps/costs, carried flow clamped, shed imbalances in
-        // `excess`) and end at an exactly optimal circulation.
-        if self.use_quant_ladder() {
-            self.label = "quant-ladder";
-            self.solve_quant_ladder(warm);
-            return self.stats;
-        }
-        self.label = "ssp-sequential";
-        self.saturate_phase(warm, false);
-        self.route_excess();
         self.stats
     }
 
-    /// Installs pair `k`'s new cap/cost, clamping carried flow and
-    /// shedding the surplus into `excess`; on warm rebinds, unchanged
-    /// pairs short-circuit out (their previous optimality certificate
-    /// still covers them) and changed pairs are recorded in `changed`.
-    #[inline]
-    fn rebind_pair(&mut self, k: usize, cap_k: i64, cost_k: i64, warm: bool) {
-        assert!(cap_k >= 0, "negative capacity");
-        let (fwd, twin) = (2 * k, 2 * k + 1);
+    /// Installs the instance and the starting basis: the carried one,
+    /// re-priced, when `warm` and the caps are unchanged; otherwise the
+    /// artificial one.
+    fn install(&mut self, caps: &[i64], costs: &[i64], warm: bool) {
+        let m = self.m;
+        assert_eq!(caps.len(), m, "capacity vector length mismatch");
+        assert_eq!(costs.len(), m, "cost vector length mismatch");
+        assert!(caps.iter().all(|&c| c >= 0), "negative capacity");
+        self.stats = CirculationStats::default();
         if warm {
-            if self.cap[fwd] + self.cap[twin] == cap_k && self.cost[fwd] == cost_k {
-                if self.cap[twin] > 0 {
-                    self.stats.reused_arcs += 1;
-                }
-                return;
-            }
-            self.changed.push(k as u32);
-            for node in [self.heads[fwd] as usize, self.heads[twin] as usize] {
-                if self.node_stamp[node] != self.stamp_round {
-                    self.node_stamp[node] = self.stamp_round;
-                    self.stats.touched_nodes += 1;
-                }
-            }
+            self.count_delta(caps, costs);
         }
-        let carried = if warm { self.cap[twin] } else { 0 };
-        let kept = carried.min(cap_k);
-        if kept < carried {
-            let shed = carried - kept;
-            self.excess[self.heads[twin] as usize] += shed;
-            self.excess[self.heads[fwd] as usize] -= shed;
-        } else if carried > 0 {
-            self.stats.reused_arcs += 1;
-        }
-        self.cap[fwd] = cap_k - kept;
-        self.cap[twin] = kept;
-        self.cost[fwd] = cost_k;
-        self.cost[twin] = -cost_k;
-    }
-
-    /// Verifies a [`Self::solve_hinted`] caller's certificate: every pair
-    /// outside the hint must be byte-identical to the engine state.
-    #[cfg(debug_assertions)]
-    fn debug_check_hint(&self, caps: &[i64], costs: &[i64], hinted: &[u32]) {
-        let mut in_hint = vec![false; self.num_pairs()];
-        for &k in hinted {
-            in_hint[k as usize] = true;
-        }
-        for k in 0..self.num_pairs() {
-            if !in_hint[k] {
-                assert!(
-                    self.cap[2 * k] + self.cap[2 * k + 1] == caps[k]
-                        && self.cost[2 * k] == costs[k],
-                    "hint certificate violated: pair {k} changed but was not hinted"
-                );
-            }
-        }
-    }
-
-    /// Phase 1: force flow onto every residual arc whose reduced cost
-    /// under the starting potentials is negative. Cold (π = 0, no carried
-    /// flow) this is exactly the classic saturation of negative-cost arcs.
-    /// Warm, only the changed pairs need the check — an unchanged pair's
-    /// residual slots are byte-identical to the previous solve's, whose
-    /// optimality certificate already proved them non-negative under the
-    /// carried potentials.
-    fn saturate_phase(&mut self, warm: bool, coarse: bool) {
-        if warm {
-            let changed = std::mem::take(&mut self.changed);
-            for &k in &changed {
-                self.saturate_slot(2 * k as usize, coarse);
-                self.saturate_slot(2 * k as usize + 1, coarse);
-            }
-            self.changed = changed;
+        let resume = warm && self.solved && caps == &self.cap[..m];
+        self.cap[..m].copy_from_slice(caps);
+        self.cost[..m].copy_from_slice(costs);
+        if resume {
+            self.stats.reused_arcs =
+                self.pred[..self.n].iter().filter(|&&a| (a as usize) < m).count();
+            self.reprice();
         } else {
-            for a in 0..self.heads.len() {
-                self.saturate_slot(a, coarse);
-            }
+            self.cold_basis();
         }
+        self.solved = true;
     }
 
-    /// Saturates residual slot `a` if its reduced cost under the current
-    /// potentials is negative (phase-1 step). With `coarse`, the reduced
-    /// cost is taken at the quantization-ladder level materialized in
-    /// `lcost` instead of the exact costs.
-    fn saturate_slot(&mut self, a: usize, coarse: bool) {
-        if self.cap[a] <= 0 {
-            return;
-        }
-        let u = self.heads[a ^ 1] as usize;
-        let v = self.heads[a] as usize;
-        let c = if coarse { self.lcost[a] } else { self.cost[a] };
-        if c + self.potential[u] - self.potential[v] < 0 {
-            let push = self.cap[a];
-            self.cap[a] = 0;
-            self.cap[a ^ 1] += push;
-            self.excess[v] += push;
-            self.excess[u] -= push;
-            self.stats.saturated_arcs += 1;
-        }
-    }
-
-    /// [`Self::route_excess_on`] at the exact costs (the non-ladder path).
-    fn route_excess(&mut self) {
-        self.route_excess_on(false, false);
-    }
-
-    /// Phase 2: route all node imbalances back at minimum cost. Every
-    /// residual arc has non-negative reduced cost on entry (phase 1
-    /// guarantees it), so each round is one multi-source Dijkstra from the
-    /// excess nodes — on the shared kernel, stopping as soon as the settled
-    /// deficits can absorb the outstanding excess — followed by the capped
-    /// potential update and a blocking flow over the admissible
-    /// (reduced-cost-zero) residual subgraph. With `coarse`, every reduced
-    /// cost is taken at the quantization-ladder level materialized in
-    /// `lcost`; the exact-cost path reads `cost` directly, so the ladder
-    /// costs the hot SSP loop nothing. `wide_roots` hands *every*
-    /// outstanding excess node to the round's blocking pass instead of
-    /// only the served tree roots — the ladder sets it on all its levels
-    /// (distances tie constantly there, so the whole plateau drains per
-    /// round), the SSP path never does (ties are rare at near-unique
-    /// exact distances, so the wide scan would be flat overhead).
-    fn route_excess_on(&mut self, coarse: bool, wide_roots: bool) {
-        let mut total: i64 = self.excess.iter().filter(|&&e| e > 0).sum();
-        let mut served: Vec<u32> = Vec::new();
-        let mut roots: Vec<u32> = Vec::new();
-        while total > 0 {
-            self.stats.rounds += 1;
-            let round_paths0 = self.stats.correction_paths;
-            // d_max = the stopping distance (largest settled deficit
-            // distance); caps the potential update so nodes beyond (or
-            // unreached by) this round keep the reduced-cost invariant.
-            // Every unsettled node's tentative label is ≥ d_max when the
-            // pass stops, so `min(dist, d_max)` clamps all of them to
-            // d_max.
-            let mut d_max = 0i64;
-            let mut served_cap = 0i64;
-            served.clear();
-            {
-                let dij = &mut self.dij;
-                let cost = if coarse { &self.lcost } else { &self.cost };
-                let (heads, cap) = (&self.heads, &self.cap);
-                let (csr_start, csr_arcs) = (&self.csr_start, &self.csr_arcs);
-                let (potential, excess) = (&self.potential, &self.excess);
-                let sources = excess.iter().enumerate().filter_map(|(v, &e)| (e > 0).then_some(v));
-                let arcs = |u: usize| {
-                    let row = csr_start[u] as usize..csr_start[u + 1] as usize;
-                    csr_arcs[row].iter().filter_map(move |&a| {
-                        let ai = a as usize;
-                        if cap[ai] <= 0 {
-                            return None;
-                        }
-                        let v = heads[ai] as usize;
-                        let rc = cost[ai] + potential[u] - potential[v];
-                        debug_assert!(rc >= 0, "negative reduced cost inside Dijkstra");
-                        Some((a, heads[ai], rc))
-                    })
-                };
-                let served = &mut served;
-                // Ladder rounds settle the whole reachable graph instead
-                // of stopping at covering capacity: the uncapped update
-                // then makes *every* source's shortest path to *every*
-                // settled deficit admissible at once, and the wide-root
-                // blocking pass drains them all in this round. On the SSP
-                // path the covering stop stands — distances are
-                // near-unique there, so a full settle would pay the whole
-                // graph scan to serve the same single path.
-                let settle = |u: usize, d: i64| {
-                    if excess[u] < 0 {
-                        served.push(u as u32);
-                        served_cap += -excess[u];
-                        d_max = d;
-                        if !wide_roots && served_cap >= total {
-                            return SettleControl::Stop;
-                        }
+    /// Counts the pairs whose cap or cost differs from the engine state,
+    /// and their distinct endpoints.
+    fn count_delta(&mut self, caps: &[i64], costs: &[i64]) {
+        self.touched.iter_mut().for_each(|t| *t = false);
+        for k in 0..self.m {
+            if caps[k] != self.cap[k] || costs[k] != self.cost[k] {
+                self.stats.delta_pairs += 1;
+                for v in [self.source[k], self.target[k]] {
+                    if !std::mem::replace(&mut self.touched[v as usize], true) {
+                        self.stats.touched_nodes += 1;
                     }
-                    SettleControl::Continue
-                };
-                dij.run(sources, 0, arcs, settle);
+                }
             }
-            if served.is_empty() {
-                // Unreachable for well-formed inputs (the twin of every
-                // push offers a route back); clear the imbalance so a
-                // later warm solve starts consistent.
-                self.excess.iter_mut().for_each(|e| *e = 0);
-                return;
+        }
+    }
+
+    /// The artificial basis: zero flow everywhere, every node a child of
+    /// the root through its artificial arc, thread `root, 0, 1, …, n − 1`.
+    fn cold_basis(&mut self) {
+        let (n, m) = (self.n, self.m);
+        self.flow.iter_mut().for_each(|f| *f = 0);
+        for k in 0..m {
+            self.state[k] = if self.cap[k] > 0 { LOWER } else { TREE };
+        }
+        let root = n;
+        self.parent[root] = NONE;
+        self.pred[root] = NONE;
+        self.thread[root] = 0;
+        self.rev_thread[0] = root as u32;
+        self.succ_num[root] = n as u32 + 1;
+        self.last_succ[root] = n.saturating_sub(1) as u32;
+        self.pi[root] = 0;
+        for u in 0..n {
+            self.parent[u] = root as u32;
+            self.pred[u] = (m + u) as u32;
+            self.pred_dir[u] = UP;
+            self.thread[u] = u as u32 + 1;
+            self.rev_thread[u + 1] = u as u32;
+            self.succ_num[u] = 1;
+            self.last_succ[u] = u as u32;
+            self.pi[u] = 0;
+            self.state[m + u] = TREE;
+        }
+        self.next_arc = 0;
+    }
+
+    /// Recomputes every potential from the root down the thread, so tree
+    /// arcs have zero reduced cost under the current costs.
+    fn reprice(&mut self) {
+        let root = self.n;
+        let mut u = self.thread[root] as usize;
+        while u != root {
+            let e = self.pred[u] as usize;
+            let p = self.parent[u] as usize;
+            self.pi[u] = self.pi[p] - i64::from(self.pred_dir[u]) * self.cost[e];
+            u = self.thread[u] as usize;
+        }
+    }
+
+    /// Block-search pricing: scans the pairs cyclically from `next_arc`
+    /// in blocks of ⌈√m⌉ and returns the most violating arc of the first
+    /// block that has one; `None` certifies optimality.
+    fn find_entering(&mut self) -> Option<usize> {
+        let (m, block) = (self.m, self.block);
+        let Self { state, cost, source, target, pi, .. } = self;
+        let mut e = self.next_arc;
+        let (mut min, mut best, mut left) = (0i64, 0usize, block);
+        for _ in 0..m {
+            let rc = cost[e] + pi[source[e] as usize] - pi[target[e] as usize];
+            let c = i64::from(state[e]) * rc;
+            if c < min {
+                min = c;
+                best = e;
             }
-            for (p, &d) in self.potential.iter_mut().zip(self.dij.dist()) {
-                *p += d.min(d_max);
+            e = if e + 1 == m { 0 } else { e + 1 };
+            left -= 1;
+            if left == 0 {
+                if min < 0 {
+                    break;
+                }
+                left = block;
             }
-            // Serve the settled deficits along their shortest-path trees
-            // first — O(path) per push, and on near-unique distances (the
-            // admissible subgraph is a path) it serves everything this
-            // round can serve. Only when tree pushes collide on shared
-            // saturated arcs is there anything left to reroute, and only
-            // then is the admissible subgraph plateau-rich enough for a
-            // blocking-flow pass to find the detours — so the O(scan)
-            // pass runs exactly on the rounds where it collapses the
-            // round count, never as flat overhead.
-            let want = served_cap.min(total);
-            let mut pushed = self.tree_serve(&served, total);
-            if pushed < want {
-                roots.clear();
-                if wide_roots {
-                    // Quantization-ladder level: distance ties at exactly
-                    // d_max are the *common* case (coarse costs fit in a
-                    // few bits; refinement repairs start within 2^8 of
-                    // optimal), so after the capped update almost every
-                    // outstanding source has an admissible route — hand
-                    // them all to the blocking pass. This is the bulk
-                    // augmentation the ladder levels exist for: one
-                    // O(scan) pass drains the whole plateau instead of
-                    // one covering-stop Dijkstra per source.
-                    roots.extend(
-                        self.excess
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(v, &e)| (e > 0).then_some(v as u32)),
-                    );
-                    // Loop the pass until it runs dry: each pass restarts
-                    // with fresh prune marks over the *advanced* residual
-                    // capacities, so augmentations a stale `dead` mark hid
-                    // (admissible twins revived by an earlier push) are
-                    // found now instead of after a whole re-Dijkstra that
-                    // would make no dual progress and rediscover the same
-                    // admissible graph.
-                    loop {
-                        let drained = self.blocking_flow(&roots, coarse);
-                        pushed += drained;
-                        if drained == 0 || pushed >= want {
-                            break;
-                        }
-                    }
+        }
+        self.next_arc = e;
+        (min < 0).then_some(best)
+    }
+
+    /// One simplex iteration on entering arc `in_arc`: find the cycle's
+    /// apex and leaving arc, push `delta` around the cycle, and — unless
+    /// the entering arc itself blocks (a bound flip) — exchange the arcs
+    /// in the tree and shift the potentials of the re-hung subtree.
+    fn pivot(&mut self, in_arc: usize) {
+        self.stats.pivots += 1;
+        let join = self.find_join(in_arc);
+        let (p, change) = self.find_leaving(in_arc, join);
+        if p.delta > 0 {
+            self.stats.nondegenerate_pivots += 1;
+            let val = i64::from(self.state[in_arc]) * p.delta;
+            self.flow[in_arc] += val;
+            let mut u = self.source[in_arc] as usize;
+            while u != join {
+                self.flow[self.pred[u] as usize] -= i64::from(self.pred_dir[u]) * val;
+                u = self.parent[u] as usize;
+            }
+            let mut u = self.target[in_arc] as usize;
+            while u != join {
+                self.flow[self.pred[u] as usize] += i64::from(self.pred_dir[u]) * val;
+                u = self.parent[u] as usize;
+            }
+        }
+        if change {
+            self.state[in_arc] = TREE;
+            let out = self.pred[p.u_out] as usize;
+            self.state[out] = if self.flow[out] == 0 { LOWER } else { UPPER };
+            self.update_tree(&p);
+            self.update_potential(&p);
+        } else {
+            self.state[in_arc] = -self.state[in_arc];
+        }
+    }
+
+    /// The apex of the tree cycle closed by `in_arc`: walk up from the
+    /// endpoint with the smaller subtree until the two walks meet.
+    fn find_join(&self, in_arc: usize) -> usize {
+        let mut u = self.source[in_arc] as usize;
+        let mut v = self.target[in_arc] as usize;
+        while u != v {
+            if self.succ_num[u] < self.succ_num[v] {
+                u = self.parent[u] as usize;
+            } else {
+                v = self.parent[v] as usize;
+            }
+        }
+        u
+    }
+
+    /// Residual capacity of `u`'s tree arc in the direction the cycle
+    /// pushes: `toward_parent` when flow moves from `u` up to its parent.
+    fn tree_residual(&self, u: usize, toward_parent: bool) -> i64 {
+        let e = self.pred[u] as usize;
+        if (self.pred_dir[u] == UP) == toward_parent {
+            self.cap[e] - self.flow[e]
+        } else {
+            self.flow[e]
+        }
+    }
+
+    /// The leaving arc of the cycle closed by `in_arc` under the strongly
+    /// feasible rule: flow runs from the apex down to `first`, across
+    /// `in_arc`, and from `second` back up; the leaving arc is the last
+    /// blocking arc in that order (`<` on the first side, `<=` on the
+    /// second). Returns `change = false` when `in_arc` blocks itself.
+    fn find_leaving(&self, in_arc: usize, join: usize) -> (Pivot, bool) {
+        let (first, second) = if self.state[in_arc] == LOWER {
+            (self.source[in_arc] as usize, self.target[in_arc] as usize)
+        } else {
+            (self.target[in_arc] as usize, self.source[in_arc] as usize)
+        };
+        let mut delta = self.cap[in_arc];
+        let mut side = 0;
+        let mut u_out = NONE as usize;
+        let mut u = first;
+        while u != join {
+            let d = self.tree_residual(u, false);
+            if d < delta {
+                (delta, u_out, side) = (d, u, 1);
+            }
+            u = self.parent[u] as usize;
+        }
+        let mut u = second;
+        while u != join {
+            let d = self.tree_residual(u, true);
+            if d <= delta {
+                (delta, u_out, side) = (d, u, 2);
+            }
+            u = self.parent[u] as usize;
+        }
+        let (u_in, v_in) = if side == 1 { (first, second) } else { (second, first) };
+        (Pivot { in_arc, join, u_in, v_in, u_out, delta }, side != 0)
+    }
+
+    /// Exchanges the leaving arc (`pred[u_out]`) for the entering arc:
+    /// the subtree hanging below the leaving arc is re-rooted at `u_in`
+    /// and re-hung below `v_in`, reversing the stem path `u_in ⇝ u_out`;
+    /// threads, subtree sizes and last successors are patched along the
+    /// stem and up to the apex.
+    fn update_tree(&mut self, p: &Pivot) {
+        let &Pivot { in_arc, join, u_in, v_in, u_out, .. } = p;
+        let Self {
+            source,
+            parent,
+            pred,
+            pred_dir,
+            thread,
+            rev_thread,
+            succ_num,
+            last_succ,
+            dirty_revs,
+            ..
+        } = self;
+        let ix = |u: u32| u as usize;
+        let old_rev_thread = ix(rev_thread[u_out]);
+        let old_succ_num = succ_num[u_out];
+        let old_last_succ = ix(last_succ[u_out]);
+        let v_out = ix(parent[u_out]);
+        let in_dir = if u_in == ix(source[in_arc]) { UP } else { DOWN };
+
+        if u_in == u_out {
+            // Same subtree, new parent: move its thread block after v_in.
+            parent[u_in] = v_in as u32;
+            pred[u_in] = in_arc as u32;
+            pred_dir[u_in] = in_dir;
+            if ix(thread[v_in]) != u_out {
+                let after = thread[old_last_succ];
+                thread[old_rev_thread] = after;
+                rev_thread[ix(after)] = old_rev_thread as u32;
+                let after = thread[v_in];
+                thread[v_in] = u_out as u32;
+                rev_thread[u_out] = v_in as u32;
+                thread[old_last_succ] = after;
+                rev_thread[ix(after)] = old_last_succ as u32;
+            }
+        } else {
+            // When old_rev_thread is v_in (then join is v_out), the moved
+            // block already follows v_in.
+            let thread_continue =
+                if old_rev_thread == v_in { thread[old_last_succ] } else { thread[v_in] };
+            // Walk the stem u_in ⇝ u_out: splice each stem node's block
+            // (minus the next stem node's) into the thread after v_in and
+            // flip its parent.
+            let mut stem = u_in;
+            let mut par_stem = v_in;
+            let mut last = ix(last_succ[u_in]);
+            let mut after = thread[last];
+            thread[v_in] = u_in as u32;
+            dirty_revs.clear();
+            dirty_revs.push(v_in as u32);
+            while stem != u_out {
+                let next_stem = ix(parent[stem]);
+                thread[last] = next_stem as u32;
+                dirty_revs.push(last as u32);
+                let before = rev_thread[stem];
+                thread[ix(before)] = after;
+                rev_thread[ix(after)] = before;
+                parent[stem] = par_stem as u32;
+                par_stem = stem;
+                stem = next_stem;
+                last = if last_succ[stem] == last_succ[par_stem] {
+                    ix(rev_thread[par_stem])
                 } else {
-                    // Admissible excess→deficit detours start (up to
-                    // distance ties at exactly d_max — rare on the
-                    // near-unique exact-cost distances) from the tree
-                    // roots of this round's served deficits: any other
-                    // source kept a strictly positive reduced distance to
-                    // every settled deficit, and the capped update
-                    // preserves that gap.
-                    {
-                        let pred = self.dij.pred();
-                        for &t in &served {
-                            let mut v = t as usize;
-                            while pred[v] != NO_PRED {
-                                v = self.heads[pred[v] as usize ^ 1] as usize;
-                            }
-                            if !self.root_seen[v] {
-                                self.root_seen[v] = true;
-                                roots.push(v as u32);
-                            }
-                        }
-                    }
-                    roots.sort_unstable();
-                    pushed += self.blocking_flow(&roots, coarse);
-                    for &r in &roots {
-                        self.root_seen[r as usize] = false;
-                    }
-                }
+                    ix(last_succ[stem])
+                };
+                after = thread[last];
             }
-            total -= pushed;
-            let width = self.stats.correction_paths - round_paths0;
-            self.stats.max_round_paths = self.stats.max_round_paths.max(width);
+            parent[u_out] = par_stem as u32;
+            thread[last] = thread_continue;
+            rev_thread[ix(thread_continue)] = last as u32;
+            last_succ[u_out] = last as u32;
+            if old_rev_thread != v_in {
+                thread[old_rev_thread] = after;
+                rev_thread[ix(after)] = old_rev_thread as u32;
+            }
+            for &u in dirty_revs.iter() {
+                rev_thread[ix(thread[ix(u)])] = u;
+            }
+            // Reverse pred / orientation along the stem and rebuild the
+            // stem nodes' subtree sizes and last successors.
+            let mut tmp_sc = 0u32;
+            let tmp_ls = last_succ[u_out];
+            let mut u = u_out;
+            while u != u_in {
+                let p = ix(parent[u]);
+                pred[u] = pred[p];
+                pred_dir[u] = -pred_dir[p];
+                tmp_sc += succ_num[u] - succ_num[p];
+                succ_num[u] = tmp_sc;
+                last_succ[p] = tmp_ls;
+                u = p;
+            }
+            pred[u_in] = in_arc as u32;
+            pred_dir[u_in] = in_dir;
+            succ_num[u_in] = old_succ_num;
+        }
+
+        // Last successors from v_in towards the root.
+        let up_limit_out = if ix(last_succ[join]) == v_in { join as u32 } else { NONE };
+        let last_succ_out = last_succ[u_out];
+        let mut u = v_in as u32;
+        while u != NONE && ix(last_succ[ix(u)]) == v_in {
+            last_succ[ix(u)] = last_succ_out;
+            u = parent[ix(u)];
+        }
+        // Last successors from v_out towards the root.
+        let fix = if join != old_rev_thread && v_in != old_rev_thread {
+            Some(old_rev_thread as u32)
+        } else {
+            (ix(last_succ_out) != old_last_succ).then_some(last_succ_out)
+        };
+        if let Some(new_last) = fix {
+            let mut u = v_out as u32;
+            while u != up_limit_out && ix(last_succ[ix(u)]) == old_last_succ {
+                last_succ[ix(u)] = new_last;
+                u = parent[ix(u)];
+            }
+        }
+        // Subtree sizes along both apex paths.
+        let mut u = v_in;
+        while u != join {
+            succ_num[u] += old_succ_num;
+            u = ix(parent[u]);
+        }
+        let mut u = v_out;
+        while u != join {
+            succ_num[u] -= old_succ_num;
+            u = ix(parent[u]);
         }
     }
 
-    /// Serves settled deficits along their Dijkstra shortest-path trees,
-    /// in settle order: bottleneck the pred chain, push, move on. Costs
-    /// O(path) per deficit — no scanning, no marks. Earlier pushes may
-    /// saturate shared tree arcs or drain a root; such deficits are left
-    /// for [`Self::blocking_flow`] (or the next round). The first served
-    /// deficit's chain is always unsaturated (Dijkstra only traverses
-    /// positive-capacity arcs), so every call pushes ≥ 1 unit — the
-    /// round-progress guarantee of [`Self::route_excess`].
-    fn tree_serve(&mut self, served: &[u32], total: i64) -> i64 {
-        let mut pushed = 0i64;
-        let pred = self.dij.pred();
-        for &t in served {
-            let t = t as usize;
-            let mut push = -self.excess[t];
-            if push <= 0 {
-                continue;
-            }
-            let mut v = t;
-            while pred[v] != NO_PRED {
-                let a = pred[v] as usize;
-                push = push.min(self.cap[a]);
-                v = self.heads[a ^ 1] as usize;
-            }
-            let root = v;
-            push = push.min(self.excess[root]);
-            if push <= 0 {
-                continue;
-            }
-            let mut v = t;
-            while pred[v] != NO_PRED {
-                let a = pred[v] as usize;
-                self.cap[a] -= push;
-                self.cap[a ^ 1] += push;
-                v = self.heads[a ^ 1] as usize;
-            }
-            self.excess[root] -= push;
-            self.excess[t] += push;
-            pushed += push;
-            self.stats.correction_paths += 1;
-            if pushed == total {
-                break;
-            }
-        }
-        pushed
-    }
-
-    /// Pushes a blocking flow from excess to deficit nodes over the
-    /// admissible subgraph (residual arcs with zero reduced cost under the
-    /// just-updated potentials) and returns the total units moved. Thin
-    /// wrapper over the engine-shared [`admissible_blocking_flow`] pass.
-    fn blocking_flow(&mut self, roots: &[u32], coarse: bool) -> i64 {
-        admissible_blocking_flow(
-            BlockingScratch {
-                heads: &self.heads,
-                cap: &mut self.cap,
-                cost: if coarse { &self.lcost } else { &self.cost },
-                csr_start: &self.csr_start,
-                csr_arcs: &self.csr_arcs,
-                potential: &self.potential,
-                excess: &mut self.excess,
-                cur: &mut self.cur,
-                on_path: &mut self.on_path,
-                dead: &mut self.dead,
-                path: &mut self.path,
-            },
-            roots,
-            &mut self.stats.correction_paths,
-        )
-    }
-
-    /// The quantization-ladder backend: solve the circulation at coarse
-    /// cost quantization first, then refine level by level down to the
-    /// exact 2^40-quantized costs, carrying flow and potentials on the
-    /// same paired-slot residual arrays throughout.
-    ///
-    /// Structure per level (shift `s`): floor-scale the carried potentials
-    /// to the level (`π · 2^Δ` between levels — exact — and `π / 2^s` on
-    /// coarse entry), materialize the level costs `c_k / 2^s` into
-    /// `lcost` (always derived from the *forward* cost and negated for the
-    /// twin — an arithmetic shift of the negative twin would break the
-    /// antisymmetry), then run one full-slot sign-flip saturation scan and
-    /// route the resulting imbalance with the ordinary covering-stop
-    /// Dijkstra rounds at the level costs. Coarse levels are plateau-rich
-    /// (many distance ties → bulk tree-serve/blocking-flow augmentation,
-    /// few rounds); each finer level starts from the previous level's
-    /// near-optimal flow, so it is a warm SSP *repair*, not a from-scratch
-    /// solve. The final level runs at shift 0 — the exact costs — so the
-    /// result is exactly optimal and [`Self::canonical_distances`] lands
-    /// on the same canonical dual face as the other backends.
-    ///
-    /// Warm solves skip the ladder entirely and run a finest-level repair
-    /// — identical to the SSP warm path. This is a measured decision, not a
-    /// shortcut: carried full-resolution potentials already place most of
-    /// the graph on reduced-cost plateaus, so even *dense* rebinds batch
-    /// ~5 paths per round under them, while re-coarsening destroys that
-    /// precision and then pays ~one unwind path per flip-flop at every
-    /// refinement step (each level's floor-rounding error makes every
-    /// tight flow-carrying arc's twin slightly negative). The ladder wins
-    /// exactly where no potentials exist yet — cold solves, where direct
-    /// 2^40 distances are near-unique and rounds ≈ paths.
-    fn solve_quant_ladder(&mut self, warm: bool) {
-        if warm {
-            self.saturate_phase(warm, false);
-            self.route_excess_on(false, false);
-            return;
-        }
-        if self.lcost.len() != self.heads.len() {
-            self.lcost = vec![0; self.heads.len()];
-        }
-        // Coarse entry: floor-scale the carried potentials (zero on cold
-        // solves) down to the coarsest level. Any potentials are legal —
-        // the per-level scan repairs the reduced-cost invariant — but a
-        // scaled carry keeps the violation set small on dense rebinds.
-        let mut prev_shift = LADDER_SHIFTS[0];
-        for p in self.potential.iter_mut() {
-            *p >>= prev_shift;
-        }
-        for (level, &shift) in LADDER_SHIFTS.iter().enumerate() {
-            if level > 0 {
-                let up = prev_shift - shift;
-                for p in self.potential.iter_mut() {
-                    *p <<= up;
-                }
-            }
-            prev_shift = shift;
-            let coarse = shift != 0;
-            if coarse {
-                for k in 0..self.num_pairs() {
-                    let c = self.cost[2 * k] >> shift;
-                    self.lcost[2 * k] = c;
-                    self.lcost[2 * k + 1] = -c;
-                }
-            }
-            // Full-slot scan: de/re-saturate exactly the arcs whose
-            // reduced-cost sign flips under this level's refined costs
-            // (a saturated forward arc that turned strictly profitable
-            // to undo shows up as its twin's negative reduced cost).
-            for a in 0..self.heads.len() {
-                self.saturate_slot(a, coarse);
-            }
-            self.route_excess_on(coarse, true);
+    /// Shifts the potentials of the re-hung subtree so the entering arc
+    /// has zero reduced cost.
+    fn update_potential(&mut self, p: &Pivot) {
+        let sigma = self.pi[p.v_in]
+            - self.pi[p.u_in]
+            - i64::from(self.pred_dir[p.u_in]) * self.cost[p.in_arc];
+        let end = self.thread[self.last_succ[p.u_in] as usize] as usize;
+        let mut u = p.u_in;
+        while u != end {
+            self.pi[u] += sigma;
+            u = self.thread[u] as usize;
         }
     }
 
@@ -1377,11 +1122,19 @@ impl Circulation {
     pub fn canonical_distances(&mut self) -> Vec<i64> {
         // Zero labels = virtual source; the exact (`eps = 0`) SPFA
         // fixpoint from fixed starting labels is unique, so this matches
-        // any other relaxation order bit for bit. Disabled (zero-cap)
-        // slots report `i64::MAX` = `Cost::UNREACHED`.
-        let Self { canon, cap, cost, .. } = self;
+        // any other relaxation order bit for bit. Slots without residual
+        // capacity report `i64::MAX` = `Cost::UNREACHED`.
+        let Self { canon, cap, cost, flow, .. } = self;
         canon.reset_zero();
-        match canon.relax(|a| if cap[a] > 0 { cost[a] } else { i64::MAX }, 0) {
+        let weight = |a: usize| {
+            let k = a >> 1;
+            match a & 1 {
+                0 if flow[k] < cap[k] => cost[k],
+                1 if flow[k] > 0 => -cost[k],
+                _ => i64::MAX,
+            }
+        };
+        match canon.relax(weight, 0) {
             RelaxOutcome::Converged => canon.dist().to_vec(),
             RelaxOutcome::NegativeCycle(_) => {
                 panic!("negative residual cycle: circulation not optimal")
@@ -1501,25 +1254,125 @@ mod tests {
     }
 
     /// Every residual arc of `net` satisfies `cost + d_u − d_v ≥ 0` under
-    /// the canonical distances, and the forward constraint implied by each
-    /// *unsaturated* arc holds.
+    /// the canonical distances.
     fn assert_canonical_certificate(net: &mut Circulation) {
         let d = net.canonical_distances();
         for k in 0..net.num_pairs() {
-            for (a, sign) in [(2 * k, 1i64), (2 * k + 1, -1i64)] {
-                if net.cap[a] > 0 {
-                    let (u, v) = (net.heads[a ^ 1] as usize, net.heads[a] as usize);
-                    let rc = sign * net.cost[2 * k] + d[u] - d[v];
-                    assert!(rc >= 0, "residual slot {a} has negative reduced cost {rc}");
-                }
+            let (u, v) = (net.source[k] as usize, net.target[k] as usize);
+            let rc = net.cost[k] + d[u] - d[v];
+            if net.flow[k] < net.cap[k] {
+                assert!(rc >= 0, "pair {k} forward has negative reduced cost {rc}");
+            }
+            if net.flow[k] > 0 {
+                assert!(rc <= 0, "pair {k} reverse has negative reduced cost {}", -rc);
             }
         }
+    }
+
+    /// The basis invariants the pivots must keep: the thread is a preorder
+    /// of the spanning tree with consistent inverse, subtree sizes and last
+    /// successors; tree arcs link each node to its parent with the stored
+    /// orientation and zero reduced cost; nonbasic arcs sit at their bound;
+    /// flow is a feasible circulation; and the tree is strongly feasible
+    /// (every node can push a positive amount up to the root).
+    fn assert_basis(net: &Circulation) {
+        let (n, m) = (net.n, net.m);
+        let root = n;
+        let mut order = vec![root];
+        let mut u = net.thread[root] as usize;
+        while u != root {
+            assert!(order.len() <= n, "thread is not a cycle through the root");
+            assert_eq!(net.rev_thread[u] as usize, *order.last().unwrap(), "rev_thread at {u}");
+            order.push(u);
+            u = net.thread[u] as usize;
+        }
+        assert_eq!(order.len(), n + 1, "thread misses nodes");
+        let mut pos = vec![0; n + 1];
+        for (i, &u) in order.iter().enumerate() {
+            pos[u] = i;
+        }
+        for (i, &u) in order.iter().enumerate() {
+            let size = net.succ_num[u] as usize;
+            assert_eq!(order[i + size - 1], net.last_succ[u] as usize, "last_succ of {u}");
+            for &v in &order[i + 1..i + size] {
+                let mut w = v;
+                while w != u && w != root {
+                    w = net.parent[w] as usize;
+                }
+                assert_eq!(w, u, "thread block of {u} holds {v} from outside its subtree");
+            }
+            if u == root {
+                continue;
+            }
+            let p = net.parent[u] as usize;
+            assert!(pos[p] < i, "parent {p} of {u} follows it in the thread");
+            let e = net.pred[u] as usize;
+            let (s, t) = (net.source[e] as usize, net.target[e] as usize);
+            match net.pred_dir[u] {
+                UP => assert_eq!((s, t), (u, p), "tree arc of {u}"),
+                _ => assert_eq!((s, t), (p, u), "tree arc of {u}"),
+            }
+            assert_eq!(net.cost[e] + net.pi[s] - net.pi[t], 0, "tree arc {e} reduced cost");
+            assert!(net.tree_residual(u, true) > 0, "tree not strongly feasible at {u}");
+        }
+        let mut excess = vec![0i64; n + 1];
+        let in_tree: Vec<bool> = {
+            let mut t = vec![false; m + n];
+            net.pred[..n].iter().for_each(|&e| t[e as usize] = true);
+            t
+        };
+        for e in 0..m + n {
+            assert!((0..=net.cap[e]).contains(&net.flow[e]), "arc {e} flow out of bounds");
+            excess[net.source[e] as usize] -= net.flow[e];
+            excess[net.target[e] as usize] += net.flow[e];
+            if in_tree[e] {
+                assert_eq!(net.state[e], TREE, "tree arc {e} state");
+            } else if net.state[e] == LOWER {
+                assert_eq!(net.flow[e], 0, "arc {e} at lower bound");
+            } else if net.state[e] == UPPER {
+                assert_eq!(net.flow[e], net.cap[e], "arc {e} at upper bound");
+            } else {
+                assert_eq!(net.cap[e], 0, "only zero-cap pairs sit at state 0 off the tree");
+            }
+        }
+        assert!(excess.iter().all(|&x| x == 0), "flow is not a circulation");
+    }
+
+    /// [`Circulation::solve`] with the basis invariants checked after
+    /// every pivot.
+    fn solve_checked(
+        net: &mut Circulation,
+        caps: &[i64],
+        costs: &[i64],
+        warm: bool,
+    ) -> CirculationStats {
+        net.install(caps, costs, warm);
+        assert_basis(net);
+        while let Some(in_arc) = net.find_entering() {
+            net.pivot(in_arc);
+            assert_basis(net);
+        }
+        net.stats()
+    }
+
+    /// Optimum of the same instance on the `f64` reference engine.
+    fn reference_cost(n: usize, pairs: &[(u32, u32)], caps: &[i64], costs: &[i64]) -> f64 {
+        let mut reference = FlowNetwork::new(n);
+        for ((&(f, t), &cap), &cost) in pairs.iter().zip(caps).zip(costs) {
+            reference.add_arc(
+                reference.node(f as usize),
+                reference.node(t as usize),
+                cap,
+                cost as f64,
+            );
+        }
+        reference.min_cost_circulation()
     }
 
     #[test]
     fn engine_cancels_negative_cycle_exactly() {
         let mut net = Circulation::new(3, &[(0, 1), (1, 2), (2, 0)]);
-        let stats = net.solve(&[2, 2, 2], &[-1, -1, -1], false);
+        let stats = solve_checked(&mut net, &[2, 2, 2], &[-1, -1, -1], false);
         assert_eq!(net.total_cost(), -6);
         assert_eq!(stats.reused_arcs, 0, "cold solve reuses nothing");
         assert_eq!(stats.delta_pairs, 0, "cold solve reports no rebind delta");
@@ -1529,9 +1382,10 @@ mod tests {
     #[test]
     fn engine_on_positive_graph_is_zero() {
         let mut net = Circulation::new(3, &[(0, 1), (1, 2), (2, 0)]);
-        net.solve(&[5, 5, 5], &[1, 1, 1], false);
+        let stats = net.solve(&[5, 5, 5], &[1, 1, 1], false);
         assert_eq!(net.total_cost(), 0);
         assert_eq!((0..3).map(|k| net.flow(k)).sum::<i64>(), 0);
+        assert_eq!(stats.pivots, 0, "the artificial basis is already optimal");
     }
 
     /// Deterministic pseudo-random circulation instance: `n` nodes, a mix
@@ -1563,28 +1417,40 @@ mod tests {
         (pairs, caps, costs)
     }
 
+    /// `random_instance` with costs lifted to a 2^40-like scale: high bits
+    /// from the small signed costs, low bits from a per-arc jitter, so
+    /// distances are near-unique like the quantized skew duals.
+    fn scaled_instance(n: usize, m: usize, seed: u64) -> (Vec<(u32, u32)>, Vec<i64>, Vec<i64>) {
+        let (pairs, caps, mut costs) = random_instance(n, m, seed);
+        let mut state = seed ^ 0x9E3779B97F4A7C15;
+        for c in costs.iter_mut() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            *c = *c * (1i64 << 30) + ((state >> 40) as i64 - (1 << 23));
+        }
+        (pairs, caps, costs)
+    }
+
+    fn assert_matches_reference(pairs: &[(u32, u32)], caps: &[i64], costs: &[i64], seed: u64) {
+        let want = reference_cost(9, pairs, caps, costs);
+        let mut net = Circulation::new(9, pairs);
+        solve_checked(&mut net, caps, costs, false);
+        assert_eq!(net.total_cost() as f64, want, "seed {seed}");
+        assert_canonical_certificate(&mut net);
+    }
+
     #[test]
     fn engine_matches_reference_on_random_instances() {
         for seed in 0..12 {
             let (pairs, caps, costs) = random_instance(9, 24, 0xC0FFEE + seed);
-            let mut reference = FlowNetwork::new(9);
-            for ((&(f, t), &cap), &cost) in pairs.iter().zip(&caps).zip(&costs) {
-                reference.add_arc(
-                    reference.node(f as usize),
-                    reference.node(t as usize),
-                    cap,
-                    cost as f64,
-                );
-            }
-            let want = reference.min_cost_circulation();
-            let mut net = Circulation::new(9, &pairs);
-            net.solve(&caps, &costs, false);
-            assert!(
-                (net.total_cost() as f64 - want).abs() < 1e-9,
-                "seed {seed}: engine {} vs reference {want}",
-                net.total_cost()
-            );
-            assert_canonical_certificate(&mut net);
+            assert_matches_reference(&pairs, &caps, &costs, seed);
+        }
+    }
+
+    #[test]
+    fn scaled_instances_match_reference() {
+        for seed in 0..12 {
+            let (pairs, caps, costs) = scaled_instance(9, 24, 0xC0FFEE + seed);
+            assert_matches_reference(&pairs, &caps, &costs, seed);
         }
     }
 
@@ -1598,7 +1464,7 @@ mod tests {
         costs2[3] += 5;
         costs2[7] -= 3;
         costs2[12] = -costs2[12];
-        let stats = warm.solve(&caps, &costs2, true);
+        let stats = solve_checked(&mut warm, &caps, &costs2, true);
         let mut cold = Circulation::new(11, &pairs);
         cold.solve(&caps, &costs2, false);
         assert_eq!(warm.total_cost(), cold.total_cost(), "warm must stay exactly optimal");
@@ -1607,7 +1473,7 @@ mod tests {
             cold.canonical_distances(),
             "canonical duals are flow-independent"
         );
-        assert!(stats.reused_arcs > 0, "perturbing 3 of 41 arcs must keep some flow");
+        assert!(stats.reused_arcs > 0, "a cost-only change resumes from the carried basis");
         assert!(stats.delta_pairs > 0 && stats.delta_pairs <= 3, "3 costs changed");
         assert!(stats.touched_nodes > 0, "changed pairs touch nodes");
         assert_canonical_certificate(&mut warm);
@@ -1619,7 +1485,9 @@ mod tests {
         let mut warm = Circulation::new(8, &pairs);
         warm.solve(&caps, &costs, false);
         let caps2: Vec<i64> = caps.iter().map(|&c| c / 2).collect();
-        warm.solve(&caps2, &costs, true);
+        let stats = solve_checked(&mut warm, &caps2, &costs, true);
+        assert_eq!(stats.reused_arcs, 0, "a cap change restarts from the artificial basis");
+        assert!(stats.delta_pairs > 0, "the shrunk caps are reported as the delta");
         for (k, &cap) in caps2.iter().enumerate() {
             assert!(warm.flow(k) <= cap, "arc {k} overflows its shrunk cap");
             assert!(warm.flow(k) >= 0);
@@ -1632,228 +1500,142 @@ mod tests {
 
     #[test]
     fn duplicate_warm_solve_short_circuits() {
-        let (pairs, caps, costs) = random_instance(10, 26, 0xFACE);
-        for backend in
-            [CirculationBackend::SuccessiveShortestPaths, CirculationBackend::QuantLadder]
-        {
-            let mut net = Circulation::new(10, &pairs);
-            net.set_backend(backend);
-            net.solve(&caps, &costs, false);
-            let cost = net.total_cost();
-            let d = net.canonical_distances();
-            // Identical warm re-solve: no pair changed, so the carried
-            // potentials prove optimality outright — no rounds, no
-            // pushes, no saturation.
-            let stats = net.solve(&caps, &costs, true);
-            assert_eq!(stats.rounds, 0, "{backend:?}: duplicate solve must skip every round");
-            assert_eq!(stats.correction_paths, 0, "{backend:?}");
-            assert_eq!(stats.saturated_arcs, 0, "{backend:?}");
-            assert_eq!(stats.delta_pairs, 0, "{backend:?}");
-            assert_eq!(net.total_cost(), cost, "{backend:?}");
-            assert_eq!(net.canonical_distances(), d, "{backend:?}");
-        }
-    }
-
-    #[test]
-    fn backend_switching_mid_sequence_stays_exact() {
-        // Ladder state feeds a warm SSP solve and vice versa: the carried
-        // potentials certify `rc ≥ 0` exactly in both directions.
-        let (pairs, caps, costs) = scaled_instance(12, 32, 0xABBA);
-        let mut net = Circulation::new(12, &pairs);
-        net.set_backend(CirculationBackend::QuantLadder);
+        let (pairs, caps, costs) = scaled_instance(10, 26, 0xFACE);
+        let mut net = Circulation::new(10, &pairs);
         net.solve(&caps, &costs, false);
-        let mut costs2 = costs.clone();
-        costs2[5] = -costs2[5] - 3;
-        net.set_backend(CirculationBackend::SuccessiveShortestPaths);
-        net.solve(&caps, &costs2, true);
-        let mut cold = Circulation::new(12, &pairs);
-        cold.solve(&caps, &costs2, false);
-        assert_eq!(net.total_cost(), cold.total_cost());
-        assert_eq!(net.canonical_distances(), cold.canonical_distances());
-        net.set_backend(CirculationBackend::QuantLadder);
-        let mut costs3 = costs2.clone();
-        costs3[9] += 7;
-        net.solve(&caps, &costs3, true);
-        let mut cold3 = Circulation::new(12, &pairs);
-        cold3.solve(&caps, &costs3, false);
-        assert_eq!(net.total_cost(), cold3.total_cost());
-        assert_eq!(net.canonical_distances(), cold3.canonical_distances());
-        assert_canonical_certificate(&mut net);
+        let cost = net.total_cost();
+        let d = net.canonical_distances();
+        // Identical warm re-solve: the carried basis is still optimal, so
+        // the first pricing pass proves it — no pivots.
+        let stats = net.solve(&caps, &costs, true);
+        assert_eq!(stats.pivots, 0, "duplicate solve must not pivot");
+        assert_eq!(stats.nondegenerate_pivots, 0);
+        assert_eq!(stats.delta_pairs, 0);
+        assert!(stats.reused_arcs > 0);
+        assert_eq!(net.total_cost(), cost);
+        assert_eq!(net.canonical_distances(), d);
     }
 
     #[test]
-    fn parse_backend_accepts_aliases_and_rejects_unknown() {
-        for (name, want) in [
-            ("auto", CirculationBackend::Auto),
-            ("ssp", CirculationBackend::SuccessiveShortestPaths),
-            ("successive_shortest_paths", CirculationBackend::SuccessiveShortestPaths),
-            ("quant_ladder", CirculationBackend::QuantLadder),
-            ("quant-ladder", CirculationBackend::QuantLadder),
-            ("ql", CirculationBackend::QuantLadder),
-            ("  QL  ", CirculationBackend::QuantLadder),
-        ] {
-            assert_eq!(parse_backend(name), Ok(want), "{name}");
-        }
-        let err = parse_backend("quantum-leap").unwrap_err();
-        assert!(err.contains("quantum-leap"), "error names the bad value: {err}");
-        for listed in ["auto", "ssp", "quant_ladder"] {
-            assert!(err.contains(listed), "error lists `{listed}`: {err}");
-        }
-    }
-
-    /// `random_instance` with costs lifted to a 2^40-like scale so the
-    /// coarse ladder levels see nonzero (and non-trivially rounded) costs.
-    fn scaled_instance(n: usize, m: usize, seed: u64) -> (Vec<(u32, u32)>, Vec<i64>, Vec<i64>) {
-        let (pairs, caps, mut costs) = random_instance(n, m, seed);
-        let mut state = seed ^ 0x9E3779B97F4A7C15;
-        for c in costs.iter_mut() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            // High bits exercise the coarse levels, low bits force the
-            // finest level to actually refine.
-            *c = *c * (1i64 << 30) + ((state >> 40) as i64 - (1 << 23));
-        }
-        (pairs, caps, costs)
-    }
-
-    #[test]
-    fn quant_ladder_matches_ssp_on_random_instances() {
-        for seed in 0..12 {
-            let (pairs, caps, costs) = scaled_instance(9, 24, 0xC0FFEE + seed);
-            let mut ssp = Circulation::new(9, &pairs);
-            ssp.set_backend(CirculationBackend::SuccessiveShortestPaths);
-            ssp.solve(&caps, &costs, false);
-            let mut ql = Circulation::new(9, &pairs);
-            ql.set_backend(CirculationBackend::QuantLadder);
-            ql.solve(&caps, &costs, false);
-            assert_eq!(ql.total_cost(), ssp.total_cost(), "seed {seed}: backend costs differ");
-            assert_eq!(
-                ql.canonical_distances(),
-                ssp.canonical_distances(),
-                "seed {seed}: canonical duals differ"
-            );
-            assert_eq!(ql.backend_label(), "quant-ladder");
-            assert_canonical_certificate(&mut ql);
-        }
-    }
-
-    #[test]
-    fn quant_ladder_warm_resolve_matches_cold_ssp() {
+    fn warm_rewrap_sequence_matches_cold() {
+        // Cost-only steps (warm basis) interleaved with a cap change
+        // (cold restart) on the same engine.
         let (pairs, caps, costs) = scaled_instance(11, 30, 0xBEEF);
         let mut warm = Circulation::new(11, &pairs);
-        warm.set_backend(CirculationBackend::QuantLadder);
         warm.solve(&caps, &costs, false);
-        let mut costs2 = costs.clone();
-        for step in 0..4 {
-            // Sparse perturbations ride the finest-level repair; the dense
-            // re-scale on step 2 drives the full ladder warm.
+        let (mut caps2, mut costs2) = (caps.clone(), costs.clone());
+        for step in 0..6 {
             costs2[3 + step] += 5 * (1 << 20) - step as i64;
             costs2[12 - step] = -costs2[12 - step];
-            if step == 2 {
-                for c in costs2.iter_mut() {
-                    *c = c.wrapping_mul(3) / 2;
-                }
+            if step == 3 {
+                caps2[1] += 2;
+                caps2[7] = 0;
             }
-            let stats = warm.solve(&caps, &costs2, true);
+            let stats = solve_checked(&mut warm, &caps2, &costs2, true);
+            assert_eq!(stats.reused_arcs == 0, step == 3, "step {step}: warm iff caps unchanged");
             let mut cold = Circulation::new(11, &pairs);
-            cold.solve(&caps, &costs2, false);
+            cold.solve(&caps2, &costs2, false);
             assert_eq!(warm.total_cost(), cold.total_cost(), "step {step}");
             assert_eq!(warm.canonical_distances(), cold.canonical_distances(), "step {step}");
-            assert!(stats.delta_pairs > 0, "step {step}");
             assert_canonical_certificate(&mut warm);
         }
     }
 
     #[test]
-    fn quant_ladder_cancels_negative_cycle_exactly() {
+    fn large_costs_cancel_negative_cycle_exactly() {
         let mut net = Circulation::new(3, &[(0, 1), (1, 2), (2, 0)]);
-        net.set_backend(CirculationBackend::QuantLadder);
         let c = -(1i64 << 40);
         net.solve(&[2, 2, 2], &[c, c, c], false);
-        assert_eq!(net.total_cost(), 6 * c);
+        assert_eq!(net.total_cost(), 6 * i128::from(c));
         assert_canonical_certificate(&mut net);
     }
 
     #[test]
-    fn hinted_solve_matches_full_diff_and_freezes_complement() {
-        let (pairs, caps, costs) = scaled_instance(11, 30, 0xFEED);
-        let num_pairs = pairs.len();
-        let mut hinted = Circulation::new(11, &pairs);
-        hinted.set_backend(CirculationBackend::QuantLadder);
-        hinted.solve(&caps, &costs, false);
-        let mut full = Circulation::new(11, &pairs);
-        full.set_backend(CirculationBackend::QuantLadder);
-        full.solve(&caps, &costs, false);
-        let mut costs2 = costs.clone();
-        costs2[4] += 1 << 21;
-        costs2[9] -= 1 << 21;
-        // The hint may over-approximate: pair 2 is named but unchanged.
-        let hint = [2u32, 4, 9];
-        let hs = hinted.solve_hinted(&caps, &costs2, true, Some(&hint));
-        let fs = full.solve(&caps, &costs2, true);
-        assert_eq!(hs.frozen_pairs, num_pairs - hint.len());
-        assert_eq!(fs.frozen_pairs, 0);
-        assert_eq!(hs.delta_pairs, fs.delta_pairs, "hinted diff must equal the full diff");
-        assert_eq!(hinted.total_cost(), full.total_cost());
-        assert_eq!(hinted.canonical_distances(), full.canonical_distances());
-        for k in 0..num_pairs {
-            assert_eq!(hinted.flow(k), full.flow(k), "pair {k} flow diverged under the hint");
+    fn total_cost_below_i64_min_is_exact() {
+        // Two parallel arcs of cost −2^60 on a 2-cycle with a free return
+        // arc: the optimum −16·2^60 = −2^64 is below i64::MIN.
+        let c = -(1i64 << 60);
+        let mut net = Circulation::new(2, &[(0, 1), (0, 1), (1, 0)]);
+        solve_checked(&mut net, &[8, 8, 16], &[c, c, 0], false);
+        assert_eq!(net.total_cost(), 16 * i128::from(c));
+        assert!(net.total_cost() < i128::from(i64::MIN));
+    }
+
+    /// `(n, pairs, caps, costs)` of one hand-built instance.
+    type Case = (usize, Vec<(u32, u32)>, Vec<i64>, Vec<i64>);
+
+    #[test]
+    fn degenerate_inputs_match_reference() {
+        let cases: [Case; 6] = [
+            // Zero-cap pairs next to a profitable cycle.
+            (3, vec![(0, 1), (1, 2), (2, 0), (1, 0)], vec![2, 2, 2, 0], vec![-3, 1, 1, -9]),
+            // All-zero weights: every R-arc pair has cap 0.
+            (
+                3,
+                vec![(0, 1), (0, 2), (2, 0), (1, 2), (2, 1)],
+                vec![4, 0, 0, 0, 0],
+                vec![-1, 5, -5, 3, -3],
+            ),
+            // A single flip-flop: one constraint-free R-arc 2-cycle.
+            (2, vec![(0, 1), (1, 0)], vec![3, 3], vec![7, -7]),
+            // Parallel arcs of different costs.
+            (2, vec![(0, 1), (0, 1), (1, 0), (1, 0)], vec![2, 3, 4, 1], vec![-5, -2, 3, 1]),
+            // A zero-cost cycle and a tie.
+            (3, vec![(0, 1), (1, 2), (2, 0), (0, 2)], vec![5, 5, 5, 5], vec![0, 0, 0, 0]),
+            // Negative-bound constraint arcs of a feasible system, plus
+            // reference-node pairs that make a negative cycle through them.
+            (
+                5,
+                vec![(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (0, 4), (4, 0), (2, 4), (4, 2)],
+                vec![9, 9, 9, 9, 9, 2, 2, 3, 3],
+                vec![-2, -1, 2, 3, -2, 5, -5, -4, 4],
+            ),
+        ];
+        for (case, (n, pairs, caps, costs)) in cases.iter().enumerate() {
+            let want = reference_cost(*n, pairs, caps, costs);
+            let mut net = Circulation::new(*n, pairs);
+            solve_checked(&mut net, caps, costs, false);
+            assert_eq!(net.total_cost() as f64, want, "case {case}");
+            assert_canonical_certificate(&mut net);
+            let d = net.canonical_distances();
+            let stats = solve_checked(&mut net, caps, costs, true);
+            assert_eq!(stats.pivots, 0, "case {case}: duplicate warm solve");
+            assert_eq!(net.canonical_distances(), d, "case {case}");
         }
-        assert_canonical_certificate(&mut hinted);
     }
 
-    #[test]
-    #[should_panic(expected = "hint certificate violated")]
-    #[cfg(debug_assertions)]
-    fn hinted_solve_rejects_a_lying_certificate() {
-        let (pairs, caps, costs) = scaled_instance(9, 20, 0xF00D);
-        let mut net = Circulation::new(9, &pairs);
-        net.solve(&caps, &costs, false);
-        let mut costs2 = costs.clone();
-        costs2[4] += 1 << 21;
-        // Pair 4 changed but the hint omits it.
-        net.solve_hinted(&caps, &costs2, true, Some(&[1u32]));
-    }
-
-    #[test]
-    fn stats_report_round_width() {
+    /// Three negative 2-cycles into a shared hub (node 0).
+    fn hub_pairs() -> Vec<(u32, u32)> {
         let mut pairs = Vec::new();
         for k in 0..3u32 {
             let v = 1 + k;
             pairs.push((v, 0));
             pairs.push((0, v));
         }
-        let mut net = Circulation::new(4, &pairs);
-        let stats = net.solve(&[3; 6], &[-2, 1, -2, 1, -2, 1], false);
-        assert!(
-            stats.max_round_paths >= 2,
-            "hub instance serves several deficits in one round, got {}",
-            stats.max_round_paths
-        );
-        assert!(stats.max_round_paths as i64 <= stats.correction_paths as i64);
-        assert_eq!(stats.frozen_pairs, 0, "unhinted solve freezes nothing");
+        pairs
     }
 
     #[test]
-    fn bulk_augmentation_serves_many_deficits_per_round() {
-        // Three negative 2-cycles into a shared hub: phase 1 saturates the
-        // three spoke arcs, leaving one excess hub and three deficit
-        // spokes, and a single Dijkstra round serves all three.
-        let mut pairs = Vec::new();
-        for k in 0..3u32 {
-            let v = 1 + k;
-            pairs.push((v, 0));
-            pairs.push((0, v));
+    fn hub_cycles_reach_optimum() {
+        // Every cycle crosses the hub, like the reference node R of the
+        // skew dual; each must be saturated independently.
+        let mut net = Circulation::new(4, &hub_pairs());
+        solve_checked(&mut net, &[3; 6], &[-2, 1, -2, 1, -2, 1], false);
+        assert_eq!(net.total_cost(), -3 * 3);
+        for k in 0..6 {
+            assert_eq!(net.flow(k), 3, "pair {k} of a profitable 2-cycle is saturated");
         }
-        let mut net = Circulation::new(4, &pairs);
+        assert_canonical_certificate(&mut net);
+    }
+
+    #[test]
+    fn stats_count_pivots() {
+        let mut net = Circulation::new(4, &hub_pairs());
         let stats = net.solve(&[3; 6], &[-2, 1, -2, 1, -2, 1], false);
         assert_eq!(net.total_cost(), -3 * 3);
-        assert!(stats.correction_paths >= 3, "three pairs need three corrections");
-        assert!(
-            stats.rounds < stats.correction_paths,
-            "bulk rounds ({}) must batch corrections ({})",
-            stats.rounds,
-            stats.correction_paths
-        );
+        assert!(stats.nondegenerate_pivots >= 3, "three cycles need three flow changes");
+        assert!(stats.pivots >= stats.nondegenerate_pivots);
+        assert_eq!((stats.reused_arcs, stats.delta_pairs, stats.touched_nodes), (0, 0, 0));
     }
 
     #[test]

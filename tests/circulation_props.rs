@@ -1,25 +1,29 @@
-//! Property-based tests for the min-cost-circulation engines behind the
+//! Property-based tests for the min-cost-circulation engine behind the
 //! weighted-sum skew dual (stage 4).
 //!
-//! Two families:
+//! Three families:
 //!
 //! * the one-shot `f64` reference (`FlowNetwork::min_cost_circulation`)
-//!   and the incremental integer-cost engine (`Circulation`) are checked
-//!   against an explicit dense LP on random *feasible* difference systems
-//!   — objective equality to 1e-6 and a dual recovery that satisfies
-//!   every generated constraint;
+//!   and the network-simplex engine (`Circulation`) are checked against
+//!   an explicit dense LP on random *feasible* difference systems —
+//!   objective equality to 1e-6 and a dual recovery that satisfies every
+//!   generated constraint;
+//! * a warm `Circulation` carried through a sequence of cost-only
+//!   re-wraps and cap changes returns the same optimum and bit-identical
+//!   `canonical_distances` as a cold engine at every step;
 //! * `weighted_schedule_ctx` must return bit-identical schedules whether
-//!   the context (and therefore the circulation warm start) is carried
-//!   across a sequence of perturbed ideal vectors or reset before every
-//!   solve, and whether or not each step carries the re-wrap dropout hint
-//!   (`weighted_schedule_rewrap_ctx`) — warm starts are pure accelerators.
+//!   the context (and therefore the circulation basis) is carried across
+//!   a sequence of perturbed ideal vectors or reset before every solve,
+//!   and whether or not each step goes through the re-wrap entry point
+//!   (`weighted_schedule_rewrap_ctx`) — warm starts are pure
+//!   accelerators.
 
 use proptest::prelude::*;
 use rotary::core::skew::{weighted_schedule_ctx, weighted_schedule_rewrap_ctx, SkewContext};
 use rotary::netlist::geom::{Point, Rect};
 use rotary::netlist::{Cell, CellKind, Circuit, Net};
 use rotary::solver::lp::{LpProblem, LpStatus, RowKind};
-use rotary::solver::mcmf::{Circulation, CirculationBackend, FlowNetwork};
+use rotary::solver::mcmf::{Circulation, FlowNetwork};
 use rotary::timing::{SequentialGraph, Technology};
 
 /// Fixed-point scale matching the engine integration in `core::skew`.
@@ -161,124 +165,54 @@ proptest! {
         );
     }
 
-    /// The quantization-ladder backend and the direct 2^40 SSP solve land
-    /// on the same exact optimum: equal total cost and bit-identical
-    /// canonical distances — cold (full ladder), and warm across an
-    /// antisymmetric R-arc cost perturbation (the shape a phase re-wrap
-    /// round produces; sparse deltas take the ladder's finest-level
-    /// bypass, so both regimes are exercised). Flows and internal
-    /// potentials are *not* compared — zero-cost R-arc 2-cycles make the
-    /// optimal flow non-unique, so alternate optima are legal for every
-    /// backend; the canonical-distance recovery is what schedules are
-    /// built from, and it is a constant of the quantized problem.
+    /// A warm engine carried through a sequence of steps — cost-only
+    /// antisymmetric R-arc shifts (the shape a phase re-wrap round
+    /// produces, resumed from the carried basis) and weight changes (cap
+    /// changes, restarted from the artificial basis) — lands on the same
+    /// exact optimum as a cold engine at every step: equal total cost and
+    /// bit-identical canonical distances. Flows are *not* compared: zero-
+    /// cost R-arc 2-cycles make the optimal flow non-unique.
     #[test]
-    fn quant_ladder_is_bit_identical_to_ssp(
+    fn warm_circulation_is_bit_identical_to_cold(
         n in 3usize..7,
         witness in prop::collection::vec(0.0..2.0f64, 7),
         raw_edges in prop::collection::vec((0usize..49, 0usize..49, 0.0..1.0f64), 4..16),
         weight in prop::collection::vec(0i64..8, 7),
         ideal in prop::collection::vec(0.0..2.0f64, 7),
-        perturb in prop::collection::vec(-0.4..0.4f64, 7),
+        steps in prop::collection::vec((0usize..49, -0.5..0.5f64, 0i64..8, 0usize..2), 1..6),
     ) {
         let inst = Instance::build(n, &witness, &raw_edges, &weight, &ideal);
-        let (pairs, caps, costs) = inst.dual_arcs();
-        let qcosts: Vec<i64> = costs.iter().map(|c| (c * COST_SCALE).round() as i64).collect();
-        let mut qcosts2 = qcosts.clone();
-        for (k, &dt) in perturb[..n].iter().enumerate() {
-            let dq = (dt * COST_SCALE).round() as i64;
-            qcosts2[inst.constraints.len() + 2 * k] += dq;
-            qcosts2[inst.constraints.len() + 2 * k + 1] -= dq;
-        }
-
-        let mut ssp = Circulation::new(n + 1, &pairs);
-        ssp.set_backend(CirculationBackend::SuccessiveShortestPaths);
-        let mut ql = Circulation::new(n + 1, &pairs);
-        ql.set_backend(CirculationBackend::QuantLadder);
-
-        for (costs, warm) in [(&qcosts, false), (&qcosts2, true)] {
-            ssp.solve(&caps, costs, warm);
-            ql.solve(&caps, costs, warm);
-            prop_assert_eq!(ql.backend_label(), "quant-ladder");
-            prop_assert_eq!(ssp.total_cost(), ql.total_cost());
-            prop_assert_eq!(ssp.canonical_distances(), ql.canonical_distances());
-        }
-    }
-
-    /// `weighted_schedule_ctx` under a quantization-ladder context returns
-    /// bit-identical schedules to a cold SSP context, across a warm
-    /// sequence of perturbed ideal vectors — the ladder and its warm
-    /// re-solves are invisible in every quality column.
-    #[test]
-    fn quant_ladder_schedules_match_ssp(
-        n in 4usize..8,
-        cross in prop::collection::vec((0usize..49, 0usize..49), 2..5),
-        base_ideal in prop::collection::vec(0.0..0.9f64, 8),
-        perturb in prop::collection::vec((0usize..49, -0.4..0.4f64), 3..6),
-    ) {
-        let cell = |kind: CellKind| Cell {
-            kind,
-            width: 2.0,
-            height: 8.0,
-            input_cap: 0.004,
-            drive_resistance: 0.4,
-            intrinsic_delay: 0.02,
-        };
-        let mut c = Circuit::new("ladderprop", Rect::from_size(2000.0, 2000.0));
-        let ffs: Vec<_> = (0..n)
-            .map(|k| {
-                c.add_cell(
-                    cell(CellKind::FlipFlop),
-                    Point::new(100.0 + 70.0 * k as f64, 100.0 + 40.0 * (k % 3) as f64),
-                )
-            })
-            .collect();
-        let mut edges: Vec<(usize, usize)> = (0..n).map(|k| (k, (k + 1) % n)).collect();
-        edges.extend(cross.iter().map(|&(a, b)| (a % n, b % n)).filter(|(a, b)| a != b));
-        for &(a, b) in &edges {
-            let g = c.add_cell(
-                cell(CellKind::Combinational),
-                Point::new(150.0 + 50.0 * a as f64, 150.0 + 50.0 * b as f64),
-            );
-            c.add_net(Net { driver: ffs[a], sinks: vec![g] });
-            c.add_net(Net { driver: g, sinks: vec![ffs[b]] });
-        }
-        let tech = Technology::default();
-        let graph = SequentialGraph::extract(&c, &tech);
-        if graph.pairs().is_empty() {
-            return Ok(());
-        }
-
-        let mut ideals = vec![base_ideal[..n].to_vec()];
-        for &(at, delta) in &perturb {
-            let mut next = ideals.last().unwrap().clone();
-            next[at % n] += delta;
-            ideals.push(next);
-        }
-        let weight: Vec<f64> = (0..n).map(|i| 0.5 + i as f64).collect();
-
-        let mut ql_ctx = SkewContext::new();
-        ql_ctx.set_circulation_backend(CirculationBackend::QuantLadder);
-        for ideal in &ideals {
-            let (ql, ql_stats) =
-                weighted_schedule_ctx(&graph, &tech, ideal, &weight, 0.0, &mut ql_ctx);
-            prop_assert_eq!(ql_stats.backend, Some("quant-ladder"));
-            let mut ssp_ctx = SkewContext::new();
-            ssp_ctx.set_circulation_backend(CirculationBackend::SuccessiveShortestPaths);
-            let (ssp, _) =
-                weighted_schedule_ctx(&graph, &tech, ideal, &weight, 0.0, &mut ssp_ctx);
-            prop_assert_eq!(ql.targets.len(), ssp.targets.len());
-            for (a, b) in ql.targets.iter().zip(&ssp.targets) {
-                prop_assert!(a.to_bits() == b.to_bits(), "quant-ladder {} vs ssp {}", a, b);
+        let (pairs, mut caps, costs) = inst.dual_arcs();
+        let mut qcosts: Vec<i64> = costs.iter().map(|c| (c * COST_SCALE).round() as i64).collect();
+        let base = inst.constraints.len();
+        let mut warm = Circulation::new(n + 1, &pairs);
+        warm.solve(&caps, &qcosts, false);
+        for &(at, shift, w, kind) in &steps {
+            let reweight = kind == 1;
+            let k = base + 2 * (at % n);
+            if reweight {
+                caps[k] = w;
+                caps[k + 1] = w;
+            } else {
+                let dq = (shift * COST_SCALE).round() as i64;
+                qcosts[k] += dq;
+                qcosts[k + 1] -= dq;
             }
+            let stats = warm.solve(&caps, &qcosts, true);
+            prop_assert!(reweight || stats.delta_pairs <= 2, "one R-arc pair moved");
+            let mut cold = Circulation::new(n + 1, &pairs);
+            cold.solve(&caps, &qcosts, false);
+            prop_assert_eq!(warm.total_cost(), cold.total_cost());
+            prop_assert_eq!(warm.canonical_distances(), cold.canonical_distances());
         }
     }
 
     /// Carrying the `SkewContext` (and its circulation engine) across a
     /// sequence of perturbed ideal vectors gives bit-identical schedules
     /// to resetting the context before every solve. A second warm context
-    /// takes every step after the first through the hinted re-wrap entry
-    /// point, naming the one flip-flop whose ideal moved; debug builds
-    /// verify that certificate inside the engine.
+    /// takes every step after the first through the re-wrap entry point,
+    /// naming the one flip-flop whose ideal moved; debug builds check
+    /// there that the carried engine's caps are unchanged.
     #[test]
     fn warm_weighted_schedule_is_bit_identical_to_cold(
         n in 4usize..8,
@@ -331,16 +265,16 @@ proptest! {
         let weight: Vec<f64> = (0..n).map(|i| 0.5 + i as f64).collect();
 
         let mut warm_ctx = SkewContext::new();
-        let mut hinted_ctx = SkewContext::new();
+        let mut rewrap_ctx = SkewContext::new();
         for (step, ideal) in ideals.iter().enumerate() {
             let (warm, wstats) =
                 weighted_schedule_ctx(&graph, &tech, ideal, &weight, 0.0, &mut warm_ctx);
-            let (hinted, hstats) = match step {
-                0 => weighted_schedule_ctx(&graph, &tech, ideal, &weight, 0.0, &mut hinted_ctx),
+            let (rewrapped_sched, hstats) = match step {
+                0 => weighted_schedule_ctx(&graph, &tech, ideal, &weight, 0.0, &mut rewrap_ctx),
                 _ => {
                     let rewrapped = [(perturb[step - 1].0 % n) as u32];
                     weighted_schedule_rewrap_ctx(
-                        &graph, &tech, ideal, &weight, 0.0, &mut hinted_ctx, &rewrapped,
+                        &graph, &tech, ideal, &weight, 0.0, &mut rewrap_ctx, &rewrapped,
                     )
                 }
             };
@@ -349,14 +283,14 @@ proptest! {
                 weighted_schedule_ctx(&graph, &tech, ideal, &weight, 0.0, &mut cold_ctx);
             prop_assert!(cstats.reused_work == 0, "cold solve must not report reuse");
             prop_assert_eq!(warm.targets.len(), cold.targets.len());
-            prop_assert_eq!(hinted.targets.len(), cold.targets.len());
-            for ((a, h), b) in warm.targets.iter().zip(&hinted.targets).zip(&cold.targets) {
+            prop_assert_eq!(rewrapped_sched.targets.len(), cold.targets.len());
+            for ((a, h), b) in warm.targets.iter().zip(&rewrapped_sched.targets).zip(&cold.targets) {
                 prop_assert!(a.to_bits() == b.to_bits(), "warm {} vs cold {}", a, b);
-                prop_assert!(h.to_bits() == b.to_bits(), "hinted {} vs cold {}", h, b);
+                prop_assert!(h.to_bits() == b.to_bits(), "re-wrapped {} vs cold {}", h, b);
             }
             prop_assert!(
                 hstats.delta_arcs == wstats.delta_arcs,
-                "the hint changed the diff: {} vs {}",
+                "the re-wrap entry point changed the diff: {} vs {}",
                 hstats.delta_arcs,
                 wstats.delta_arcs
             );
