@@ -16,6 +16,13 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# perfbench is a workspace of its own (perfbench/Cargo.toml), so the root
+# `cargo test` never reaches its unit tests (span self-time, input
+# renumbering). Build it under the root target dir and with --locked, so
+# the step writes nothing under perfbench/.
+echo "==> cargo test perfbench"
+cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "==> cargo bench -p rotary-bench --no-run"
 cargo bench -p rotary-bench --no-run
 

@@ -135,11 +135,13 @@ fn bench_skew(c: &mut Criterion) {
 }
 
 fn bench_sta(c: &mut Criterion) {
-    let circuit = placed_circuit(BenchmarkSuite::S9234);
     let tech = Technology::default();
-    c.bench_function("sta/sequential_graph_s9234", |b| {
-        b.iter(|| std::hint::black_box(SequentialGraph::extract(&circuit, &tech)))
-    });
+    for suite in [BenchmarkSuite::S9234, BenchmarkSuite::S38417] {
+        let circuit = placed_circuit(suite);
+        c.bench_function(format!("sta/sequential_graph_{suite}"), |b| {
+            b.iter(|| std::hint::black_box(SequentialGraph::extract(&circuit, &tech)))
+        });
+    }
     let _ = TABLE_SEED;
 }
 

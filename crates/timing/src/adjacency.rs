@@ -6,7 +6,7 @@
 //! long-path (setup) and a short-path (hold) constraint to the skew
 //! scheduling LP of Section VII.
 
-use crate::sta::Sta;
+use crate::sta::{ConeScratch, Sta};
 use crate::tech::Technology;
 use rotary_netlist::{CellId, Circuit};
 use serde::{Deserialize, Serialize};
@@ -64,8 +64,9 @@ impl SequentialGraph {
     /// Extracts all sequentially adjacent pairs of `circuit` with their
     /// `D_max`/`D_min` under the Elmore model, at the current placement.
     ///
-    /// Runs one longest- and one shortest-path sweep per flip-flop
-    /// (`O(F·(V+E))`).
+    /// Runs one fused longest/shortest sweep per flip-flop over its
+    /// fan-out cone (`Sta::sweep_cone`), `O(Σ cone size)` in total. Pairs
+    /// come in ascending `(from, to)` order.
     pub fn extract(circuit: &Circuit, tech: &Technology) -> Self {
         let sta = Sta::build(circuit, tech);
         Self::extract_with_sta(circuit, &sta)
@@ -75,16 +76,9 @@ impl SequentialGraph {
     pub fn extract_with_sta(circuit: &Circuit, sta: &Sta) -> Self {
         let flip_flops = circuit.flip_flops();
         let mut pairs = Vec::new();
-        let mut scratch = Vec::new();
+        let mut scratch = ConeScratch::default();
         for &src in &flip_flops {
-            let clk_to_q = circuit.cell(src).intrinsic_delay;
-            let maxs = sta.propagate_from(src, clk_to_q, true, &mut scratch);
-            let mins = sta.propagate_from(src, clk_to_q, false, &mut scratch);
-            debug_assert_eq!(maxs.len(), mins.len());
-            for ((to_a, d_max), (to_b, d_min)) in maxs.into_iter().zip(mins) {
-                debug_assert_eq!(to_a, to_b);
-                pairs.push(AdjacentPair { from: src, to: to_a, d_max, d_min });
-            }
+            sta.sweep_cone(src, circuit.cell(src).intrinsic_delay, &mut scratch, &mut pairs);
         }
         Self { flip_flops, pairs }
     }

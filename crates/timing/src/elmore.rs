@@ -42,10 +42,21 @@ pub fn net_load_cap(circuit: &Circuit, net: NetId, tech: &Technology) -> f64 {
 ///
 /// Panics if `sink` is not a sink of `net`.
 pub fn sink_edge_delay(circuit: &Circuit, net: NetId, sink: CellId, tech: &Technology) -> f64 {
+    debug_assert!(circuit.net(net).sinks.contains(&sink), "cell {sink} is not a sink of {net}");
+    loaded_edge_delay(circuit, net, sink, net_load_cap(circuit, net, tech), tech)
+}
+
+/// [`sink_edge_delay`] with the net's total load (`net_load_cap`) already
+/// computed, so a caller that visits every sink of a net sums it once.
+pub(crate) fn loaded_edge_delay(
+    circuit: &Circuit,
+    net: NetId,
+    sink: CellId,
+    load: f64,
+    tech: &Technology,
+) -> f64 {
     let n = circuit.net(net);
-    debug_assert!(n.sinks.contains(&sink), "cell {sink} is not a sink of {net}");
     let driver = circuit.cell(n.driver);
-    let load = net_load_cap(circuit, net, tech);
     let gate = driver.intrinsic_delay + driver.drive_resistance * load;
     let l = circuit.position(n.driver).manhattan(circuit.position(sink));
     let branch = tech.wire_res * l * (0.5 * tech.wire_cap * l + circuit.cell(sink).input_cap);
