@@ -13,7 +13,7 @@ use rotary_netlist::BenchmarkSuite;
 use rotary_ring::{Ring, RingArray, RingDirection, RingParams};
 use rotary_solver::graph::{Source, SpfaGraph};
 use rotary_solver::lp::{LpProblem, RowKind};
-use rotary_solver::mcmf::{Circulation, FlowNetwork, Transportation};
+use rotary_solver::mcmf::{solve_transportation, Circulation, FlowNetwork};
 use rotary_solver::rounding::{greedy_round_loaded, greedy_round_loaded_rescan, LoadedCandidate};
 use rotary_solver::sparse::{CsrMatrix, SparseLu};
 use rotary_solver::{DifferenceSystem, ParametricSystem};
@@ -68,14 +68,10 @@ fn bench_assignment(c: &mut Criterion) {
     });
 }
 
-/// The incremental stage-3 transportation engine at s38417 scale: one
-/// cold build-and-solve, and one warm re-solve after an incremental-
-/// placement-sized cost drift (structure unchanged — the steady-state
-/// shape of the Fig.-3 loop).
+/// The stage-3 transportation at s38417 scale: one cold supply-form
+/// network-simplex solve plus the canonical extraction.
 fn bench_transportation(c: &mut Criterion) {
     let (costs, caps, _) = setup_costs_k(BenchmarkSuite::S38417, 9);
-    let f = costs.len();
-    let r = caps.len();
     let cands: Vec<Vec<(u32, i64)>> = costs
         .candidates
         .iter()
@@ -85,35 +81,10 @@ fn bench_transportation(c: &mut Criterion) {
         .collect();
     let ring_caps: Vec<i64> = caps.iter().map(|&u| u as i64).collect();
     c.bench_function("assign/transportation_cold_s38417", |b| {
-        b.iter_batched(
-            || Transportation::new(f, r),
-            |mut eng| {
-                eng.solve(&cands, &ring_caps, false).expect("feasible");
-                std::hint::black_box(eng.assignment().len())
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    let mut warm_src = Transportation::new(f, r);
-    warm_src.solve(&cands, &ring_caps, false).expect("feasible");
-    let mut drifted = cands.clone();
-    let delta = (0.05 * COST_SCALE) as i64;
-    for (i, list) in drifted.iter_mut().enumerate() {
-        if i % 8 == 0 {
-            for cand in list.iter_mut() {
-                cand.1 += delta;
-            }
-        }
-    }
-    c.bench_function("assign/transportation_warm_s38417", |b| {
-        b.iter_batched(
-            || warm_src.clone(),
-            |mut eng| {
-                eng.solve(&drifted, &ring_caps, true).expect("feasible");
-                std::hint::black_box(eng.assignment().len())
-            },
-            BatchSize::SmallInput,
-        )
+        b.iter(|| {
+            let tp = solve_transportation(&cands, &ring_caps).expect("feasible");
+            std::hint::black_box(tp.assignment.len())
+        })
     });
 }
 

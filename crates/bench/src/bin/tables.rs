@@ -220,15 +220,21 @@ fn telemetry(ctx: &Ctx) {
         .map(|doc| parse_top_level(&doc))
         .unwrap_or_default();
     // Run metadata under the reserved `_meta` key (sorts ahead of every
-    // suite name): the worker-thread cap the run saw and the git revision
-    // it was built from, so a merged file records the provenance of its
-    // freshest entries.
+    // suite name): the worker-thread cap the run saw, the git revision it
+    // was built from, and whether the working tree had uncommitted changes
+    // (`null` when git is unavailable), so a merged file records the
+    // provenance of its freshest entries.
     suites.insert(
         "_meta".to_string(),
         format!(
-            "{{\n\"threads\": {},\n\"git_rev\": \"{}\"\n}}",
+            "{{\n\"threads\": {},\n\"git_rev\": \"{}\",\n\"dirty\": {}\n}}",
             rotary_solver::par::default_max_threads(),
-            git_rev(),
+            git(&["rev-parse", "--short", "HEAD"]).unwrap_or_else(|| "unknown".into()),
+            git(&["status", "--porcelain"]).map_or("null", |s| if s.is_empty() {
+                "false"
+            } else {
+                "true"
+            }),
         ),
     );
     for (name, r) in &ctx.results {
@@ -253,18 +259,16 @@ fn telemetry(ctx: &Ctx) {
     }
 }
 
-/// Short git revision of the working tree, `"unknown"` when git (or the
-/// repository) is unavailable — metadata only, never load-bearing.
-fn git_rev() -> String {
+/// Trimmed stdout of a git command, `None` when git (or the repository)
+/// is unavailable — run metadata only, never load-bearing.
+fn git(args: &[&str]) -> Option<String> {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(args)
         .output()
         .ok()
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
 }
 
 /// Splits a `BENCH_flow.json` document into its top-level
@@ -753,73 +757,70 @@ fn stage2(ctx: &mut Ctx) {
     }
 }
 
-/// Stage-3 smoke: full warm and cold flows, interleaved A/B on the same
-/// binary, per assignment route. Prints the assignment-stage wall clock
-/// of each (best of two interleaved reps, so both modes see the same
-/// machine conditions), asserts the warm flow actually reused assignment
-/// work on every suite and route, and asserts the warm outputs are
-/// bit-identical to the cold reference — a dead warm path, a slow warm
-/// path, and a divergent warm path all fail here.
+/// Stage-3 smoke: full warm and cold flows on the ILP route, interleaved
+/// A/B on the same binary. Prints the assignment-stage wall clock of each
+/// (best of two interleaved reps, so both modes see the same machine
+/// conditions), asserts the warm flow actually reused LP work on every
+/// suite, and asserts the warm outputs are bit-identical to the cold
+/// reference — a dead warm path, a slow warm path, and a divergent warm
+/// path all fail here. The network-flow route has no warm path: it
+/// solves every pass cold.
 fn assign_ab(ctx: &mut Ctx) {
     use rotary_core::flow::{AssignmentObjective, Flow, FlowConfig, FlowOutcome};
     use rotary_core::telemetry::Stage;
     header("STAGE-3 SMOKE — assignment warm starts (interleaved warm/cold full flows)");
     for suite in ctx.suites.clone() {
-        for (label, objective) in [
-            ("network-flow", AssignmentObjective::TappingCost),
-            ("ilp", AssignmentObjective::MaxLoadCap),
-        ] {
-            let run = |warm: bool| -> FlowOutcome {
-                let mut c = suite.circuit(TABLE_SEED);
-                let cfg = FlowConfig { objective, warm_start: warm, ..FlowConfig::default() };
-                Flow::new(cfg).run(&mut c, suite.ring_grid())
+        let run = |warm: bool| -> FlowOutcome {
+            let mut c = suite.circuit(TABLE_SEED);
+            let cfg = FlowConfig {
+                objective: AssignmentObjective::MaxLoadCap,
+                warm_start: warm,
+                ..FlowConfig::default()
             };
-            let stage3_secs = |out: &FlowOutcome| {
-                out.telemetry
-                    .totals_by_stage()
-                    .iter()
-                    .find(|e| e.0 == Stage::Assignment)
-                    .map_or(0.0, |e| e.1)
-            };
-            let (mut t_warm, mut t_cold) = (f64::INFINITY, f64::INFINITY);
-            let (mut warm_out, mut cold_out) = (None, None);
-            for _rep in 0..2 {
-                let w = run(true);
-                t_warm = t_warm.min(stage3_secs(&w));
-                warm_out = Some(w);
-                let c = run(false);
-                t_cold = t_cold.min(stage3_secs(&c));
-                cold_out = Some(c);
-            }
-            let (w, c) = (warm_out.unwrap(), cold_out.unwrap());
-            assert_eq!(w.schedule, c.schedule, "warm flow diverged on {suite} [{label}]");
-            assert_eq!(w.assignment, c.assignment, "warm flow diverged on {suite} [{label}]");
-            assert_eq!(
-                w.taps.solutions, c.taps.solutions,
-                "warm flow diverged on {suite} [{label}]"
-            );
-            let (_, reused, delta, _) = *w
-                .telemetry
-                .reuse_by_stage()
+            Flow::new(cfg).run(&mut c, suite.ring_grid())
+        };
+        let stage3_secs = |out: &FlowOutcome| {
+            out.telemetry
+                .totals_by_stage()
                 .iter()
                 .find(|e| e.0 == Stage::Assignment)
-                .expect("assignment stage is always recorded");
-            assert!(reused > 0, "warm assignment must reuse work on {suite} [{label}]");
-            let backend = w
-                .telemetry
-                .records()
-                .iter()
-                .rfind(|r| r.stage == Stage::Assignment && !r.backend.is_empty())
-                .map_or("-", |r| r.backend);
-            println!(
-                "{:<8} [{label:<12}] assignment warm {:>7}s  cold {:>7}s  speedup {:>5}x  \
-                 ({reused} reused, {delta} Δarcs, backend {backend})",
-                suite.name(),
-                cpu(t_warm, 3),
-                cpu(t_cold, 3),
-                cpu(t_cold / t_warm.max(1e-12), 2),
-            );
+                .map_or(0.0, |e| e.1)
+        };
+        let (mut t_warm, mut t_cold) = (f64::INFINITY, f64::INFINITY);
+        let (mut warm_out, mut cold_out) = (None, None);
+        for _rep in 0..2 {
+            let w = run(true);
+            t_warm = t_warm.min(stage3_secs(&w));
+            warm_out = Some(w);
+            let c = run(false);
+            t_cold = t_cold.min(stage3_secs(&c));
+            cold_out = Some(c);
         }
+        let (w, c) = (warm_out.unwrap(), cold_out.unwrap());
+        assert_eq!(w.schedule, c.schedule, "warm flow diverged on {suite} [ilp]");
+        assert_eq!(w.assignment, c.assignment, "warm flow diverged on {suite} [ilp]");
+        assert_eq!(w.taps.solutions, c.taps.solutions, "warm flow diverged on {suite} [ilp]");
+        let (_, reused, delta, _) = *w
+            .telemetry
+            .reuse_by_stage()
+            .iter()
+            .find(|e| e.0 == Stage::Assignment)
+            .expect("assignment stage is always recorded");
+        assert!(reused > 0, "warm assignment must reuse work on {suite} [ilp]");
+        let backend = w
+            .telemetry
+            .records()
+            .iter()
+            .rfind(|r| r.stage == Stage::Assignment && !r.backend.is_empty())
+            .map_or("-", |r| r.backend);
+        println!(
+            "{:<8} [ilp         ] assignment warm {:>7}s  cold {:>7}s  speedup {:>5}x  \
+             ({reused} reused, {delta} Δarcs, backend {backend})",
+            suite.name(),
+            cpu(t_warm, 3),
+            cpu(t_cold, 3),
+            cpu(t_cold / t_warm.max(1e-12), 2),
+        );
     }
 }
 

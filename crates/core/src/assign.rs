@@ -15,7 +15,7 @@ use crate::tapping::CandidateCosts;
 use rotary_ring::RingId;
 use rotary_solver::ilp::{BranchAndBound, IlpOutcome};
 use rotary_solver::lp::{LpBasis, LpProblem, LpSolution, LpStatus, RowKind, WarmMode};
-use rotary_solver::mcmf::{FlowNetwork, Transportation};
+use rotary_solver::mcmf::solve_transportation;
 use rotary_solver::rounding::{greedy_round, greedy_round_loaded};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -79,34 +79,32 @@ impl std::error::Error for AssignError {}
 
 /// Solver-effort statistics from one assignment solve, for flow telemetry
 /// (the assignment analogue of `skew::SkewStats`). Written by both stage-3
-/// engines: the eq.-3 LP relaxation ([`assign_min_max_cap_ctx`]) and the
-/// Section-V transportation engine ([`assign_network_flow_ctx`]) — field
-/// docs note the meaning on each route.
+/// routes: the eq.-3 LP relaxation ([`assign_min_max_cap_ctx`]) and the
+/// Section-V network simplex ([`assign_network_flow_ctx`]), which solves
+/// every pass cold and carries nothing, so its reuse fields are zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AssignStats {
-    /// Simplex pivots of the relaxation solve (dual repair + primal); on
-    /// the network-flow route, augmenting paths pushed by the
-    /// transportation engine.
+    /// Simplex pivots: of the relaxation solve (dual repair + primal) on
+    /// the LP route, of the network simplex on the network-flow route.
     pub lp_iterations: usize,
     /// Structural LP columns carried over from the previous pass — either
     /// patched in place (unchanged candidate structure) or remapped into
-    /// the rebuilt matrix by stable key. Zero on the first pass. On the
-    /// network-flow route: carried flow-arc pairs that survived the warm
-    /// rebind untouched.
+    /// the rebuilt matrix by stable key. Zero on the first pass and on the
+    /// network-flow route.
     pub cols_reused: usize,
     /// Structural LP columns that had to be built fresh because their
-    /// flip-flop's candidate ring set changed (or appeared) this pass. On
-    /// the network-flow route: arc pairs re-priced, re-capped, or rebuilt.
+    /// flip-flop's candidate ring set changed (or appeared) this pass.
+    /// Zero on the network-flow route.
     pub cols_rebuilt: usize,
     /// Pivots spent inside a warm-started solve (the delta the repair
-    /// phase replays); zero when the solve ran cold. On the network-flow
-    /// route: distinct nodes touched by the rebind delta.
+    /// phase replays); zero when the solve ran cold and on the
+    /// network-flow route.
     pub warm_pivots: usize,
     /// How the simplex actually started ([`WarmMode`]); unused (default)
     /// on the network-flow route.
     pub warm_mode: WarmMode,
-    /// Engine label of the solve that produced these stats: `tp-cold` /
-    /// `tp-warm` from the transportation engine; `None` from the LP route
+    /// Engine label of the solve that produced these stats:
+    /// `network-simplex` on the network-flow route; `None` on the LP route
     /// (whose label the flow derives from [`WarmMode`]).
     pub backend: Option<&'static str>,
 }
@@ -127,15 +125,6 @@ pub struct AssignStats {
 pub struct AssignContext {
     basis: Option<LpBasis>,
     cached: Option<CachedLp>,
-    /// The incremental transportation engine of the network-flow route,
-    /// carried beside the LP basis: flow and dual potentials survive
-    /// between passes (and candidate add/drop, keyed by flip-flop × ring
-    /// exactly like the LP columns).
-    transportation: Option<Transportation>,
-    /// Reusable quantized candidate-list scratch for the engine (cleared
-    /// and refilled each pass; never reallocated in steady state).
-    tp_cands: Vec<Vec<(u32, i64)>>,
-    tp_caps: Vec<i64>,
     /// The previous pass's rounded assignment — the seed of the crash
     /// basis used when the candidate structure changed too much for the
     /// carried simplex basis to be worth repairing.
@@ -167,18 +156,12 @@ impl AssignContext {
         Self::default()
     }
 
-    /// Drops the carried basis, column map, and transportation engine;
-    /// the next solve starts cold from a freshly built matrix/network.
+    /// Drops the carried basis and column map; the next solve starts cold
+    /// from a freshly built matrix.
     pub fn reset(&mut self) {
         self.basis = None;
         self.cached = None;
-        self.transportation = None;
         self.last_rings = None;
-    }
-
-    /// Whether a basis from a previous solve is being carried.
-    pub fn has_basis(&self) -> bool {
-        self.basis.is_some()
     }
 
     /// Enables (or disables) crash-starting incumbent-less solves from
@@ -194,7 +177,7 @@ impl AssignContext {
     }
 }
 
-/// Cost quantization step of the transportation engine: tapping costs in
+/// Cost quantization step of the stage-3 network flow: tapping costs in
 /// µm are scaled by 2^40 and rounded once, exactly as the stage-4 skew
 /// duals quantize theirs, so optimality (and the canonical extraction) is
 /// exact integer arithmetic end to end.
@@ -210,9 +193,7 @@ fn quantize(x: f64) -> i64 {
 /// Arc costs are the tapping costs `c_ij`; ring→target arcs carry the
 /// capacities `U_j`.
 ///
-/// One-shot convenience over [`assign_network_flow_ctx`] (a fresh
-/// transportation engine, cold solve); the flow loop carries the context
-/// version instead.
+/// One-shot convenience over [`assign_network_flow_ctx`].
 ///
 /// # Errors
 ///
@@ -226,119 +207,42 @@ pub fn assign_network_flow(
     assign_network_flow_ctx(costs, capacities, false, &mut ctx).map(|(a, _)| a)
 }
 
-/// The Section-V assignment through the incremental
-/// [`Transportation`] engine carried in `ctx` (the network-flow analogue
-/// of [`assign_min_max_cap_ctx`]).
+/// The Section-V assignment on the network simplex
+/// ([`solve_transportation`]), with telemetry in [`AssignContext::stats`].
 ///
-/// Candidate tapping costs are quantized once to exact 2^40 integers;
-/// with `warm` the engine reuses the carried flow and dual potentials —
-/// re-pricing only drifted arcs when the candidate structure is unchanged
-/// and re-installing carried flow keyed by flip-flop × ring when it is
-/// not. The returned assignment is recovered from the canonical duals and
-/// is **bit-identical** between warm and cold solves of the same pass.
-/// Returns the assignment and the augmenting-path count (flow telemetry);
-/// effort counters land in [`AssignContext::stats`].
+/// Candidate tapping costs are quantized once to exact 2^40 integers and
+/// every pass is solved cold: the candidate structure changes on every
+/// Fig.-3 pass, so there is no basis worth carrying, and `ctx` holds no
+/// network-flow state. `warm` is accepted for signature compatibility with
+/// existing callers and ignored. The assignment is recovered from the
+/// canonical duals, so it depends on the instance alone. Returns the
+/// assignment and the simplex pivot count (flow telemetry).
 ///
 /// # Errors
 ///
 /// [`AssignError::InsufficientCapacity`] when not all flip-flops can be
-/// routed; the engine resets itself and the next solve runs cold.
+/// routed.
 pub fn assign_network_flow_ctx(
     costs: &CandidateCosts,
     capacities: &[usize],
-    warm: bool,
+    _warm: bool,
     ctx: &mut AssignContext,
 ) -> Result<(Assignment, usize), AssignError> {
-    let f = costs.len();
-    let r = capacities.len();
-    let AssignContext { transportation, tp_cands, tp_caps, stats, .. } = ctx;
-    let tp = match transportation {
-        Some(tp) if tp.dims() == (f, r) => tp,
-        _ => transportation.insert(Transportation::new(f, r)),
-    };
-    tp_cands.truncate(f);
-    tp_cands.resize_with(f, Vec::new);
-    for (list, cands) in tp_cands.iter_mut().zip(&costs.candidates) {
-        list.clear();
-        list.extend(cands.iter().map(|&(rid, wl, _)| (rid.0, quantize(wl))));
-    }
-    tp_caps.clear();
-    tp_caps.extend(capacities.iter().map(|&u| u as i64));
-    match tp.solve(tp_cands, tp_caps, warm) {
-        Ok(tstats) => {
-            *stats = AssignStats {
-                lp_iterations: tstats.correction_paths,
-                cols_reused: tstats.reused_arcs,
-                cols_rebuilt: tstats.delta_pairs,
-                warm_pivots: tstats.touched_nodes,
-                warm_mode: WarmMode::default(),
-                backend: Some(tp.backend_label()),
-            };
-            let rings = tp.assignment().iter().map(|&j| RingId(j)).collect();
-            Ok((Assignment { rings }, tstats.correction_paths))
-        }
-        Err(_) => {
-            *stats = AssignStats { backend: Some(tp.backend_label()), ..AssignStats::default() };
-            Err(AssignError::InsufficientCapacity)
-        }
-    }
-}
-
-/// [`assign_network_flow`] plus the number of augmenting paths the
-/// min-cost-flow solver pushed.
-///
-/// This is the original one-shot float-cost [`FlowNetwork`] build — kept
-/// **off the hot path** as the reference oracle the transportation-engine
-/// tests cross-check against (float successive-shortest-paths vs exact
-/// quantized integer solve). Flow code goes through
-/// [`assign_network_flow_ctx`].
-///
-/// # Errors
-///
-/// Same conditions as [`assign_network_flow`].
-pub fn assign_network_flow_with_stats(
-    costs: &CandidateCosts,
-    capacities: &[usize],
-) -> Result<(Assignment, usize), AssignError> {
-    let f = costs.len();
-    let r = capacities.len();
-    let mut net = FlowNetwork::new(2 + f + r);
-    let source = net.node(0);
-    let target = net.node(1);
-    let ff_node = |i: usize| i + 2;
-    let ring_node = |j: usize| 2 + f + j;
-    for i in 0..f {
-        net.add_arc(source, net.node(ff_node(i)), 1, 0.0);
-    }
-    let mut arc_ids = Vec::with_capacity(f);
-    for (i, cands) in costs.candidates.iter().enumerate() {
-        let mut arcs = Vec::with_capacity(cands.len());
-        for &(rid, wl, _) in cands {
-            arcs.push((
-                rid,
-                net.add_arc(net.node(ff_node(i)), net.node(ring_node(rid.index())), 1, wl),
-            ));
-        }
-        arc_ids.push(arcs);
-    }
-    for (j, &u) in capacities.iter().enumerate() {
-        net.add_arc(net.node(ring_node(j)), target, u as i64, 0.0);
-    }
-    let (flow, _cost) =
-        net.min_cost_flow(source, target, f as i64).ok_or(AssignError::InsufficientCapacity)?;
-    if flow < f as i64 {
-        return Err(AssignError::InsufficientCapacity);
-    }
-    let rings = arc_ids
+    let cands: Vec<Vec<(u32, i64)>> = costs
+        .candidates
         .iter()
-        .map(|arcs| {
-            arcs.iter()
-                .find(|&&(_, a)| net.flow_on(a) > 0)
-                .map(|&(rid, _)| rid)
-                .expect("saturated flip-flop has exactly one unit arc")
-        })
+        .map(|list| list.iter().map(|&(rid, wl, _)| (rid.0, quantize(wl))).collect())
         .collect();
-    Ok((Assignment { rings }, net.augmentations()))
+    let caps: Vec<i64> = capacities.iter().map(|&u| u as i64).collect();
+    let solved = solve_transportation(&cands, &caps);
+    ctx.stats = AssignStats {
+        lp_iterations: solved.as_ref().map_or(0, |tp| tp.pivots),
+        backend: Some("network-simplex"),
+        ..AssignStats::default()
+    };
+    let tp = solved.map_err(|_| AssignError::InsufficientCapacity)?;
+    let rings = tp.assignment.iter().map(|&j| RingId(j)).collect();
+    Ok((Assignment { rings }, tp.pivots))
 }
 
 /// Builds the Section VI LP relaxation: variables `x_ij` (one per

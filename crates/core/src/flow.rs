@@ -16,8 +16,8 @@
 //!
 //! Every pass through a stage is recorded into the outcome's
 //! [`FlowTelemetry`]: wall time, dominant problem size, and inner solver
-//! iterations (simplex pivots, feasibility solves, augmenting paths,
-//! canceled cycles), keyed by stage and flow iteration.
+//! iterations (simplex pivots or feasibility solves), keyed by stage and
+//! flow iteration.
 
 use crate::assign::{self, Assignment};
 use crate::metrics::CostSnapshot;
@@ -324,7 +324,9 @@ impl Flow {
                 // Reuse telemetry mirrors stages 2/4: reused_work counts
                 // candidate-cache hits plus LP columns carried over,
                 // delta_arcs the columns rebuilt, affected_vertices the
-                // warm pivots the repair phase spent.
+                // warm pivots the repair phase spent. The network-flow
+                // route solves cold and reports zero for all three solver
+                // terms.
                 let astats = assign_ctx.stats();
                 stage.set_reused_work(cache_delta + astats.cols_reused);
                 stage.add_delta_arcs(astats.cols_rebuilt);
@@ -338,8 +340,8 @@ impl Flow {
                         });
                     }
                     AssignmentObjective::TappingCost => {
-                        // The transportation engine reports its own start
-                        // label (`tp-cold` / `tp-warm`).
+                        // The network-flow route reports its engine label
+                        // (`network-simplex`).
                         if let Some(backend) = astats.backend {
                             stage.set_backend(backend);
                         }
@@ -478,8 +480,8 @@ impl Flow {
         (best_idx, runs)
     }
 
-    /// Stage-3 dispatcher; also returns the solver's iteration count
-    /// (augmenting paths or simplex pivots) for telemetry.
+    /// Stage-3 dispatcher; also returns the solver's simplex pivots
+    /// (network simplex or LP) for telemetry.
     fn assign(
         &self,
         costs: &CandidateCosts,
@@ -489,9 +491,8 @@ impl Flow {
     ) -> (Assignment, usize) {
         match self.config.objective {
             AssignmentObjective::TappingCost => {
-                // Warm-start whenever the context carries an engine; the
-                // flow's warm_start=false path resets the context each
-                // iteration, which downgrades this to a cold solve.
+                // Every network-flow pass solves cold (no engine state is
+                // carried), so warm_start does not change this route.
                 match assign::assign_network_flow_ctx(costs, capacities, true, ctx) {
                     Ok(pair) => pair,
                     Err(_) => {

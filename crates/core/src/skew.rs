@@ -482,7 +482,7 @@ const COST_SCALE: f64 = 1_099_511_627_776.0;
 /// phase re-wrap rounds, where only ideals move — the network simplex
 /// resumes from the previous basis; otherwise it starts cold. The
 /// recovered schedule comes from the engine's canonical integer duals,
-/// which are a constant of the quantized problem (see [`COST_SCALE`]), so
+/// which are a constant of the problem quantized at the fixed 2^40 scale, so
 /// warm and cold schedules are bit-identical.
 ///
 /// # Panics

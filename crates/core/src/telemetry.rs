@@ -116,32 +116,32 @@ pub struct StageRecord {
     /// Dominant problem size: cells placed, constraints solved, candidate
     /// arcs generated, flip-flops tapped, or pseudo-nets inserted.
     pub problem_size: usize,
-    /// Inner solver iterations: simplex pivots, feasibility solves,
-    /// augmenting paths, or canceled cycles. Zero for non-solver stages.
+    /// Inner solver iterations: simplex pivots (stage 3 on both routes,
+    /// stage 4) or feasibility solves (stage 2). Zero for non-solver
+    /// stages.
     pub solver_iterations: usize,
     /// Work units served from a cross-iteration cache instead of being
     /// recomputed (e.g. candidate ring lists reused by stage 3, LP columns
-    /// a carried simplex basis mapped by stable key, flow-arc pairs the
-    /// transportation engine carried untouched across the rebind,
-    /// constraint arcs a delta-rebound parametric engine did not have to
-    /// re-examine, or — stage 4 — the spanning-tree arcs of the carried
-    /// network-simplex basis that warm circulation solves resumed from).
-    /// Zero for stages without a cache.
+    /// a carried simplex basis mapped by stable key, constraint arcs a
+    /// delta-rebound parametric engine did not have to re-examine, or —
+    /// stage 4 — the spanning-tree arcs of the carried network-simplex
+    /// basis that warm circulation solves resumed from). On the stage-3
+    /// network-flow route only the candidate-cache hits count: its solves
+    /// are cold. Zero for stages without a cache.
     pub reused_work: usize,
-    /// Constraint arcs (stage 2), LP columns (stage 3, eq. 3 route),
-    /// flow-arc pairs (stage 3, network-flow route), or circulation arc
-    /// pairs (stage 4) whose bounds, caps, costs, or existence actually
-    /// changed when a persistent solver engine was re-targeted at this
-    /// pass's system — the delta the incremental path replays. Zero for
-    /// stages without such an engine.
+    /// Constraint arcs (stage 2), LP columns (stage 3, eq. 3 route), or
+    /// circulation arc pairs (stage 4) whose bounds, caps, costs, or
+    /// existence actually changed when a persistent solver engine was
+    /// re-targeted at this pass's system — the delta the incremental path
+    /// replays. Zero for stages without such an engine, including the
+    /// stage-3 network-flow route.
     pub delta_arcs: usize,
     /// Distinct variables whose labels moved during this pass's
     /// relaxations — the affected region the delta seeding propagated
     /// through; for stage 3 the pivots the warm-started simplex spent
-    /// reaching the new optimum (eq. 3 route) or the distinct network
-    /// nodes the transportation rebind touched (network-flow route); for
-    /// stage 4 the distinct endpoints of the changed circulation pairs.
-    /// Zero for stages without relaxation solves.
+    /// reaching the new optimum (eq. 3 route; zero on the network-flow
+    /// route); for stage 4 the distinct endpoints of the changed
+    /// circulation pairs. Zero for stages without relaxation solves.
     pub affected_vertices: usize,
     /// Stage 4: network-simplex pivots of this pass's circulation solves,
     /// degenerate pivots and bound flips included. Zero for other stages.
@@ -156,8 +156,8 @@ pub struct StageRecord {
     /// Label of the solver backend that served this pass (stage 4: the
     /// circulation engine `"network-simplex"`; stage 3 on the eq. 3
     /// route: `"lp-cold"`, `"lp-warm"`, or `"lp-dual-repair"`; stage 3 on
-    /// the network-flow route: the transportation engine's `"tp-cold"` or
-    /// `"tp-warm"`). Empty for stages without a backend choice.
+    /// the network-flow route: `"network-simplex"`). Empty for stages
+    /// without a backend choice.
     pub backend: &'static str,
 }
 

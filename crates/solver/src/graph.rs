@@ -48,14 +48,15 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Cost semantics a relaxation kernel is generic over.
 ///
 /// Two models ship: `f64` (tolerance-based comparisons, `+∞` marks both a
-/// disabled arc and an unreached label) and `i64` (exact comparisons with
-/// zero epsilon, `i64::MAX` as the sentinel). The relaxation rule is
-/// `tail + weight + eps < head` in both; exact integer kernels pass
-/// `eps = 0`, which degenerates to a strict comparison.
+/// disabled arc and an unreached label) and the exact integers `i64` and
+/// `i128` (exact comparisons with zero epsilon, the type's `MAX` as the
+/// sentinel). The relaxation rule is `tail + weight + eps < head` in
+/// every model; exact integer kernels pass `eps = 0`, which degenerates
+/// to a strict comparison.
 pub trait Cost: Copy + PartialOrd + std::fmt::Debug + Send + Sync + 'static {
     /// The additive identity (label of a source node).
     const ZERO: Self;
-    /// Sentinel for "no label yet" / "arc disabled" (`+∞` / `i64::MAX`).
+    /// Sentinel for "no label yet" / "arc disabled" (`+∞` / `MAX`).
     const UNREACHED: Self;
     /// `self + rhs`; never called with [`Self::UNREACHED`] operands.
     fn add(self, rhs: Self) -> Self;
@@ -84,6 +85,17 @@ impl Cost for i64 {
     }
     fn finite(self) -> bool {
         self != i64::MAX
+    }
+}
+
+impl Cost for i128 {
+    const ZERO: Self = 0;
+    const UNREACHED: Self = i128::MAX;
+    fn add(self, rhs: Self) -> Self {
+        self + rhs
+    }
+    fn finite(self) -> bool {
+        self != i128::MAX
     }
 }
 
@@ -207,9 +219,11 @@ impl SpfaGraph {
     /// / `1e-7` for flow potentials and cycle canceling).
     pub fn run(&self, source: Source, eps: f64) -> SpfaResult {
         let n = self.n;
-        let triplets: Vec<(usize, usize, f64)> =
-            self.arcs.iter().map(|&(f, t, w)| (f as usize, t as usize, w)).collect();
-        let (adj, entry_arc) = CsrMatrix::from_triplets_with_perm(n, n.max(1), &triplets);
+        let (adj, entry_arc) = CsrMatrix::from_triplets_with_perm(
+            n,
+            n.max(1),
+            self.arcs.iter().map(|&(f, t, w)| (f as usize, t as usize, w)),
+        );
 
         let mut dist = vec![f64::INFINITY; n];
         let mut pred: Vec<Option<u32>> = vec![None; n];
@@ -480,18 +494,22 @@ impl<C: Cost> WarmSpfa<C> {
     ///
     /// Panics if an endpoint is out of range.
     pub fn new(n: usize, arcs: &[(usize, usize)]) -> Self {
-        let triplets: Vec<(usize, usize, f64)> = arcs
-            .iter()
-            .map(|&(f, t)| {
-                assert!(f < n && t < n, "arc ({f}, {t}) out of range");
-                (f, t, 0.0)
-            })
-            .collect();
-        let (adj, entry_arc) = CsrMatrix::from_triplets_with_perm(n, n.max(1), &triplets);
+        Self::from_arcs(n, arcs.iter().copied())
+    }
+
+    /// [`Self::new`] over a re-iterable arc source (walked three times),
+    /// so callers need not materialize an arc vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is out of range.
+    pub fn from_arcs(n: usize, arcs: impl Iterator<Item = (usize, usize)> + Clone) -> Self {
+        let (adj, entry_arc) =
+            CsrMatrix::from_triplets_with_perm(n, n.max(1), arcs.clone().map(|(f, t)| (f, t, 0.0)));
         Self {
             n,
-            tails: arcs.iter().map(|&(f, _)| f as u32).collect(),
-            heads: arcs.iter().map(|&(_, t)| t as u32).collect(),
+            tails: arcs.clone().map(|(f, _)| f as u32).collect(),
+            heads: arcs.map(|(_, t)| t as u32).collect(),
             adj,
             entry_arc,
             in_adj: None,
@@ -717,13 +735,9 @@ impl<C: Cost> WarmSpfa<C> {
         let n = self.n;
         self.begin_round();
         if self.in_adj.is_none() {
-            let triplets: Vec<(usize, usize, f64)> = self
-                .tails
-                .iter()
-                .zip(&self.heads)
-                .map(|(&f, &t)| (t as usize, f as usize, 0.0))
-                .collect();
-            let (m, perm) = CsrMatrix::from_triplets_with_perm(n, n.max(1), &triplets);
+            let triplets =
+                self.tails.iter().zip(&self.heads).map(|(&f, &t)| (t as usize, f as usize, 0.0));
+            let (m, perm) = CsrMatrix::from_triplets_with_perm(n, n.max(1), triplets);
             self.in_adj = Some(Box::new((m, perm)));
         }
         let cfg = ParConfig::default();

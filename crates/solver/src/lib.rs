@@ -22,11 +22,12 @@
 //!   shared by the pricing scan here and the tapping kernels in
 //!   `rotary-core`.
 //! * [`mcmf`] — min-cost max-flow via successive shortest paths with
-//!   Johnson potentials, the one-shot `f64` min-cost *circulation*
-//!   reference, the incremental stage-3 transportation engine, and the
-//!   primal network simplex [`mcmf::Circulation`] the flow runs for the
+//!   Johnson potentials and the one-shot `f64` min-cost *circulation*
+//!   (both reference oracles), and the primal network simplex
+//!   [`mcmf::Circulation`], the one exact engine the flow runs: the
 //!   weighted-sum skew optimization dual (warm re-solves resume from the
-//!   carried spanning-tree basis).
+//!   carried spanning-tree basis) and, with node supplies, the stage-3
+//!   transportation [`mcmf::solve_transportation`].
 //! * [`difference`] — feasibility and optimization of difference-constraint
 //!   systems (`y_i − y_j ≤ b_ij`) via shortest paths; the graph-based
 //!   engine behind max-slack and minimax skew scheduling.
@@ -62,8 +63,8 @@ pub use graph::{RelaxOutcome, ShortestPaths, SpfaGraph, SpfaResult, WarmSpfa};
 pub use ilp::{BranchAndBound, IlpOutcome};
 pub use lp::{LpBasis, LpProblem, LpSolution, LpStatus, RowKind};
 pub use mcmf::{
-    ArcId, Circulation, CirculationStats, FlowNetwork, NodeId, Transportation,
-    TransportationInfeasible, TransportationStats,
+    solve_transportation, ArcId, Circulation, CirculationStats, FlowNetwork, NodeId, PivotCost,
+    TransportationInfeasible, TransportationSolution,
 };
 pub use par::{default_max_threads, par_map, par_map_with, ParConfig};
 pub use rounding::{greedy_round, greedy_round_loaded, greedy_round_loaded_rescan};

@@ -3,43 +3,45 @@
 //! Four entry points:
 //!
 //! * [`FlowNetwork::min_cost_flow`] — successive shortest augmenting paths
-//!   with Johnson potentials (Dijkstra inside); optimal for the flip-flop
-//!   assignment network of Section V (Fig. 4), which has non-negative costs
-//!   and integral capacities.
+//!   with Johnson potentials (Dijkstra inside) on `f64` costs: the
+//!   reference oracle of the assignment tests, and the small rank-cost
+//!   tie matching of the stage-3 extraction.
 //! * [`FlowNetwork::min_cost_circulation`] — saturate every negative-cost
 //!   arc, then route the resulting imbalances back via successive shortest
 //!   paths; the original one-shot `f64` engine for the dual of the
 //!   weighted-sum skew optimization, kept as the reference oracle of the
 //!   circulation tests.
-//! * [`Transportation`] — the incremental engine behind the stage-3
-//!   flip-flop → ring assignment: exact integer costs on a paired-slot CSR
-//!   residual layout, warm re-solves that carry flow keyed by
-//!   `(ff, ring)` and dual potentials across Fig.-3 iterations, and a
-//!   canonical-dual extraction that makes warm and cold assignments
-//!   bit-identical by construction.
-//! * [`Circulation`] — the stage-4 engine the flow actually runs: a primal
+//! * [`Circulation`] — the one exact engine the flow runs: a primal
 //!   network simplex (artificial root, strongly feasible spanning tree,
-//!   block-search pricing) over exact *integer* arc costs. A re-solve
-//!   with unchanged caps — the phase re-wrap, where only reference-arc
-//!   costs move — resumes from the carried basis; any cap change starts
-//!   from the artificial basis.
+//!   block-search pricing) over exact *integer* arc costs. Stage 4 solves
+//!   min-cost circulations on it; a re-solve with unchanged caps — the
+//!   phase re-wrap, where only reference-arc costs move — resumes from the
+//!   carried basis, and any cap change starts from the artificial basis.
+//!   [`Circulation::with_supply`] adds node supplies in the equality form
+//!   of LEMON's `NetworkSimplex`.
+//! * [`solve_transportation`] — the stage-3 flip-flop → ring assignment of
+//!   Section V (Fig. 4): one cold supply-form solve per pass, with the
+//!   assignment extracted from the canonical residual distances, so it
+//!   does not depend on which optimal flow the pivots reach.
 //!
 //! [`FlowNetwork`] costs are `f64` with a small comparison tolerance;
-//! [`Circulation`] and [`Transportation`] costs are `i64` (callers
+//! [`Circulation`] costs are exact integers (`i64` for stage 4, `i128`
+//! pivot arithmetic for the supply-form stage-3 instances; callers
 //! quantize once) so optimality is exact and the recovered duals are
-//! canonical. Capacities are integral (`i64`) everywhere, so
-//! augmentations preserve integrality and the assignment solutions are
-//! automatically 0/1.
+//! canonical. Capacities are integral (`i64`) everywhere, so the
+//! assignment solutions are automatically 0/1.
 //!
 //! No relaxation loop lives in this module: all Bellman–Ford-style work
-//! (potential initialization, negative-cycle search, optimal and canonical
-//! potentials) runs on the shared SPFA kernel in [`crate::graph`], and the
-//! Dijkstra passes of the successive-shortest-path methods run on the
-//! generic [`crate::graph::Dijkstra`] kernel — [`FlowNetwork`] with `f64`
-//! reduced costs, [`Transportation`] with exact `i64` reduced costs.
+//! (potential initialization, negative-cycle search, canonical distances)
+//! runs on the shared SPFA kernel in [`crate::graph`], and the Dijkstra
+//! passes of [`FlowNetwork`] run on the generic [`crate::graph::Dijkstra`]
+//! kernel.
 
-use crate::graph::{Dijkstra, RelaxOutcome, SettleControl, Source, SpfaGraph, WarmSpfa, NO_PRED};
+use crate::graph::{
+    Cost, Dijkstra, RelaxOutcome, SettleControl, Source, SpfaGraph, WarmSpfa, NO_PRED,
+};
 use serde::{Deserialize, Serialize};
+use std::ops::{Add, Mul, Neg, Sub};
 
 /// Node handle in a [`FlowNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -374,138 +376,6 @@ pub struct CirculationStats {
     pub touched_nodes: usize,
 }
 
-const NO_ARC: u32 = u32::MAX;
-
-/// Borrowed residual arrays + DFS scratch of the [`Transportation`]
-/// engine, as [`admissible_blocking_flow`] needs them.
-struct BlockingScratch<'a> {
-    heads: &'a [u32],
-    cap: &'a mut [i64],
-    cost: &'a [i64],
-    csr_start: &'a [u32],
-    csr_arcs: &'a [u32],
-    potential: &'a [i64],
-    excess: &'a mut [i64],
-    cur: &'a mut Vec<u32>,
-    on_path: &'a mut [bool],
-    dead: &'a mut [bool],
-    path: &'a mut Vec<u32>,
-}
-
-/// Pushes a blocking flow from excess to deficit nodes over the admissible
-/// subgraph (residual arcs with zero reduced cost under the just-updated
-/// potentials) and returns the total units moved.
-///
-/// Current-arc DFS with two standard marks: `on_path` guards against
-/// zero-cost admissible cycles, `dead` prunes nodes whose admissible
-/// out-arcs were exhausted when visited. An augmentation grants twin
-/// capacity along its path, which can in principle revive pruned arcs
-/// behind a cursor or under a `dead` mark — those are deliberately left
-/// stale (pruning is always sound, and rewinding was measured quadratic on
-/// plateau-heavy rounds); whatever a stale prune hides is served by a
-/// later round. May push nothing at all — it runs on the post-tree-serve
-/// residual, where the remaining deficits' only access may be a saturated
-/// shared arc; round progress is the tree serve's guarantee, not this
-/// pass's.
-fn admissible_blocking_flow(
-    g: BlockingScratch<'_>,
-    roots: &[u32],
-    correction_paths: &mut usize,
-) -> i64 {
-    let n = g.potential.len();
-    g.cur.clear();
-    g.cur.extend_from_slice(&g.csr_start[..n]);
-    g.dead.iter_mut().for_each(|d| *d = false);
-    debug_assert!(g.on_path.iter().all(|&p| !p));
-    let mut pushed = 0i64;
-    for &s in roots {
-        let s = s as usize;
-        if g.excess[s] <= 0 || g.dead[s] {
-            continue;
-        }
-        g.on_path[s] = true;
-        g.path.clear();
-        let mut v = s;
-        loop {
-            // Advance v's cursor to its next admissible arc.
-            let row_end = g.csr_start[v + 1];
-            let mut found = NO_ARC;
-            while g.cur[v] < row_end {
-                let a = g.csr_arcs[g.cur[v] as usize] as usize;
-                if g.cap[a] > 0 {
-                    let h = g.heads[a] as usize;
-                    if !g.dead[h]
-                        && !g.on_path[h]
-                        && g.cost[a] + g.potential[v] - g.potential[h] == 0
-                    {
-                        found = a as u32;
-                        break;
-                    }
-                }
-                g.cur[v] += 1;
-            }
-            let Some(a) = (found != NO_ARC).then_some(found as usize) else {
-                // Exhausted: retreat, pruning v for the whole pass.
-                g.dead[v] = true;
-                g.on_path[v] = false;
-                match g.path.pop() {
-                    None => break,
-                    Some(pa) => {
-                        let tail = g.heads[pa as usize ^ 1] as usize;
-                        g.cur[tail] += 1;
-                        v = tail;
-                    }
-                }
-                continue;
-            };
-            let h = g.heads[a] as usize;
-            if g.excess[h] < 0 {
-                // Augment along path + a, bounded by both imbalances
-                // and the path bottleneck, then restart from s.
-                let mut amt = g.excess[s].min(-g.excess[h]).min(g.cap[a]);
-                for &pa in g.path.iter() {
-                    amt = amt.min(g.cap[pa as usize]);
-                }
-                debug_assert!(amt > 0);
-                g.cap[a] -= amt;
-                g.cap[a ^ 1] += amt;
-                for &pa in g.path.iter() {
-                    let pa = pa as usize;
-                    g.cap[pa] -= amt;
-                    g.cap[pa ^ 1] += amt;
-                }
-                g.excess[s] -= amt;
-                g.excess[h] += amt;
-                pushed += amt;
-                *correction_paths += 1;
-                for &pa in g.path.iter() {
-                    g.on_path[g.heads[pa as usize] as usize] = false;
-                }
-                // Cursors and `dead` marks are NOT rewound: the push
-                // did grant twin capacity at reduced cost zero along
-                // the path, but chasing those revived arcs would
-                // rescan every row per augmentation (quadratic in a
-                // plateau-heavy round, measured ~0.5 ms/round on the
-                // s38417 re-wraps). Monotone cursors keep the pass
-                // linear; any path a stale mark hides is found by a
-                // later round's fresh pass.
-                g.path.clear();
-                if g.excess[s] <= 0 {
-                    g.on_path[s] = false;
-                    break;
-                }
-                v = s;
-                continue;
-            }
-            // Descend.
-            g.path.push(a as u32);
-            g.on_path[h] = true;
-            v = h;
-        }
-    }
-    pushed
-}
-
 /// Which min-cost-circulation algorithm [`Circulation::solve`] runs.
 ///
 /// One engine is left, the primal network simplex; the enum stays so
@@ -541,6 +411,30 @@ const TREE: i8 = 0;
 /// Arc state: nonbasic at full capacity.
 const UPPER: i8 = -1;
 
+/// Arithmetic type of the network simplex's costs, potentials and reduced
+/// costs: `i64` for the stage-4 circulation, `i128` for the supply-form
+/// stage-3 instances, whose artificial cost needs the headroom (see
+/// [`Circulation::with_supply`]).
+pub trait PivotCost:
+    Cost
+    + Ord
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Neg<Output = Self>
+    + From<i64>
+    + Into<i128>
+{
+}
+
+impl PivotCost for i64 {}
+impl PivotCost for i128 {}
+
+/// A tree orientation or arc state (±1) as a cost multiplier.
+fn sign<C: PivotCost>(s: i8) -> C {
+    C::from(i64::from(s))
+}
+
 /// The cycle one pivot works on: the entering arc, the apex of its tree
 /// cycle, the leaving arc's lower endpoint `u_out`, the endpoint `u_in`
 /// whose subtree is re-hung below `v_in`, and the flow change `delta`.
@@ -562,11 +456,14 @@ struct Pivot {
 /// `NetworkSimplex` (Kovács, "Minimum-cost flow algorithms: an
 /// experimental evaluation", Optim. Methods Softw. 2015):
 ///
-/// * **Artificial root.** Node `n` is a root with one zero-cost,
-///   uncapacitated arc `u → root` per node. The cold basis is the star of
-///   those arcs at zero flow. The root has no out-arc, so no circulation
-///   can route flow through it: artificial arcs stay at zero flow and the
-///   optimum is the optimum of the pairs alone.
+/// * **Artificial root.** Node `n` is a root with one uncapacitated
+///   artificial arc per node. The cold basis is the star of those arcs.
+///   Built by [`Circulation::new`], every arc is a zero-cost `u → root` at
+///   zero flow; the root then has no out-arc, so no circulation can route
+///   flow through it and the optimum is the optimum of the pairs alone.
+///   [`Self::with_supply`] orients the arcs of demand nodes out of the
+///   root and prices them so that flow leaves them whenever the supplies
+///   can be met.
 /// * **Strongly feasible spanning tree.** The tree is stored as parent /
 ///   predecessor arc / preorder thread / subtree size / last successor
 ///   per node. The leaving arc is the *last* blocking arc met walking the
@@ -608,16 +505,18 @@ struct Pivot {
 /// assert!(stats.reused_arcs > 0);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Circulation {
+pub struct Circulation<C: PivotCost = i64> {
     /// Node count; the artificial root is node `n`.
     n: usize,
     /// Pair count. Arc `k < m` is pair `k`; arc `m + u` is node `u`'s
-    /// artificial arc `u → root`.
+    /// artificial arc: `u → root` when `supply[u] ≥ 0`, else `root → u`.
     m: usize,
+    /// Node supplies (positive = source, negative = demand); sum to 0.
+    supply: Vec<i64>,
     source: Vec<u32>,
     target: Vec<u32>,
     cap: Vec<i64>,
-    cost: Vec<i64>,
+    cost: Vec<C>,
     flow: Vec<i64>,
     state: Vec<i8>,
     /// Spanning tree, per node (root included): parent node, predecessor
@@ -631,7 +530,7 @@ pub struct Circulation {
     succ_num: Vec<u32>,
     last_succ: Vec<u32>,
     /// Node potentials: `cost + π_source − π_target` is zero on tree arcs.
-    pi: Vec<i64>,
+    pi: Vec<C>,
     /// Scratch of the thread update.
     dirty_revs: Vec<u32>,
     /// Pricing block size, ⌈√m⌉.
@@ -646,39 +545,77 @@ pub struct Circulation {
     /// Shared-kernel SPFA over the residual slots for
     /// [`Self::canonical_distances`]: slot `2k` is pair `k` forward, slot
     /// `2k + 1` its reverse.
-    canon: WarmSpfa<i64>,
+    canon: WarmSpfa<C>,
 }
 
 impl Circulation {
     /// Builds the engine over `n` nodes and the given `(from, to)` pairs;
-    /// capacities and costs arrive per [`Self::solve`].
+    /// capacities and costs arrive per [`Self::solve`]. Every supply is
+    /// zero, so a solve finds a min-cost circulation.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is out of range.
     pub fn new(n: usize, pairs: &[(u32, u32)]) -> Self {
+        Self::with_supply(n, pairs, &vec![0; n])
+    }
+}
+
+impl<C: PivotCost> Circulation<C> {
+    /// [`Circulation::new`] with node supplies (positive = source,
+    /// negative = demand): a solve finds a min-cost flow that meets them
+    /// exactly, in the equality form of LEMON's `NetworkSimplex`.
+    ///
+    /// The cold basis hangs every node with `supply ≥ 0` from the root on
+    /// a zero-cost up-arc carrying its supply, and every demand node on a
+    /// down-arc `root → u` carrying its demand at the artificial cost
+    /// `A = 1 + Σ_k |cost_k|`. A unit routed through the root pays `A`
+    /// and saves at most one simple path of pairs, which costs less than
+    /// `A`, so an optimum puts flow on an artificial arc only when the
+    /// supplies cannot be met: [`Self::is_feasible`] reads that off after
+    /// the solve. With all-zero supplies the cold basis is the plain
+    /// artificial star and `A` is never used.
+    ///
+    /// Overflow, with `Σ = Σ_k |cost_k|`: a potential is the signed cost
+    /// of the tree path from the root, which holds each pair at most once
+    /// and one artificial arc, so `|π| ≤ A + Σ = 2Σ + 1`. A potential
+    /// difference is the cost of a tree path too (two artificial arcs at
+    /// most, entering with opposite signs), so every reduced cost, and
+    /// every intermediate a pivot computes, is at most `3Σ + 1` in
+    /// magnitude. A solve with a demand node asserts `3Σ + 1 ≤ C::MAX`:
+    /// `i128` holds it for any realistic `i64` costs; `i64` does not at
+    /// stage-3 scale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is out of range, `supply.len() != n`, or the
+    /// supplies do not sum to zero.
+    pub fn with_supply(n: usize, pairs: &[(u32, u32)], supply: &[i64]) -> Self {
+        assert_eq!(supply.len(), n, "supply vector length mismatch");
+        assert_eq!(supply.iter().sum::<i64>(), 0, "supplies must sum to zero");
         let m = pairs.len();
         let mut source = Vec::with_capacity(m + n);
         let mut target = Vec::with_capacity(m + n);
-        let mut slots = Vec::with_capacity(2 * m);
         for &(from, to) in pairs {
             assert!((from as usize) < n && (to as usize) < n, "arc ({from}, {to}) out of range");
             source.push(from);
             target.push(to);
-            slots.push((from as usize, to as usize));
-            slots.push((to as usize, from as usize));
         }
-        source.extend(0..n as u32);
-        target.extend(std::iter::repeat_n(n as u32, n));
+        for (u, &s) in supply.iter().enumerate() {
+            let (from, to) = if s >= 0 { (u, n) } else { (n, u) };
+            source.push(from as u32);
+            target.push(to as u32);
+        }
         let mut cap = vec![0; m + n];
         cap[m..].iter_mut().for_each(|c| *c = i64::MAX);
         Self {
             n,
             m,
+            supply: supply.to_vec(),
             source,
             target,
             cap,
-            cost: vec![0; m + n],
+            cost: vec![C::ZERO; m + n],
             flow: vec![0; m + n],
             state: vec![LOWER; m + n],
             parent: vec![NONE; n + 1],
@@ -688,14 +625,19 @@ impl Circulation {
             rev_thread: vec![0; n + 1],
             succ_num: vec![0; n + 1],
             last_succ: vec![0; n + 1],
-            pi: vec![0; n + 1],
+            pi: vec![C::ZERO; n + 1],
             dirty_revs: Vec::new(),
             block: ((m as f64).sqrt().ceil() as usize).max(1),
             next_arc: 0,
             solved: false,
             stats: CirculationStats::default(),
             touched: vec![false; n],
-            canon: WarmSpfa::new(n, &slots),
+            canon: WarmSpfa::from_arcs(
+                n,
+                pairs
+                    .iter()
+                    .flat_map(|&(u, v)| [(u as usize, v as usize), (v as usize, u as usize)]),
+            ),
         }
     }
 
@@ -719,10 +661,16 @@ impl Circulation {
         self.flow[k]
     }
 
-    /// Total cost of the current circulation, `Σ flow_k · cost_k`, exact.
-    /// `i128`: flows of ~2^24 on ~2^43-scaled costs overflow `i64`.
+    /// Total cost of the current flow over the pairs, `Σ flow_k · cost_k`,
+    /// exact. `i128`: flows of ~2^24 on ~2^43-scaled costs overflow `i64`.
     pub fn total_cost(&self) -> i128 {
-        (0..self.m).map(|k| i128::from(self.flow[k]) * i128::from(self.cost[k])).sum()
+        (0..self.m).map(|k| i128::from(self.flow[k]) * self.cost[k].into()).sum()
+    }
+
+    /// Whether the last [`Self::solve`] met every supply: no artificial
+    /// arc carries flow. Always true with all-zero supplies.
+    pub fn is_feasible(&self) -> bool {
+        self.flow[self.m..].iter().all(|&x| x == 0)
     }
 
     /// Effort counters of the last [`Self::solve`].
@@ -730,8 +678,9 @@ impl Circulation {
         self.stats
     }
 
-    /// Computes a minimum-cost circulation for the given capacities and
-    /// integer costs (indexed by pair, like the constructor's `pairs`).
+    /// Computes a minimum-cost flow meeting the supplies (a circulation
+    /// when they are all zero) for the given capacities and integer costs
+    /// (indexed by pair, like the constructor's `pairs`).
     ///
     /// With `warm = true` and the caps of the previous solve, the carried
     /// basis is re-priced under the new costs and pivoting resumes from
@@ -743,7 +692,7 @@ impl Circulation {
     ///
     /// Panics if slice lengths disagree with the pair count or a capacity
     /// is negative.
-    pub fn solve(&mut self, caps: &[i64], costs: &[i64], warm: bool) -> CirculationStats {
+    pub fn solve(&mut self, caps: &[i64], costs: &[C], warm: bool) -> CirculationStats {
         self.install(caps, costs, warm);
         while let Some(in_arc) = self.find_entering() {
             self.pivot(in_arc);
@@ -754,7 +703,7 @@ impl Circulation {
     /// Installs the instance and the starting basis: the carried one,
     /// re-priced, when `warm` and the caps are unchanged; otherwise the
     /// artificial one.
-    fn install(&mut self, caps: &[i64], costs: &[i64], warm: bool) {
+    fn install(&mut self, caps: &[i64], costs: &[C], warm: bool) {
         let m = self.m;
         assert_eq!(caps.len(), m, "capacity vector length mismatch");
         assert_eq!(costs.len(), m, "cost vector length mismatch");
@@ -766,6 +715,14 @@ impl Circulation {
         let resume = warm && self.solved && caps == &self.cap[..m];
         self.cap[..m].copy_from_slice(caps);
         self.cost[..m].copy_from_slice(costs);
+        if self.supply.iter().any(|&s| s < 0) {
+            let art = self.artificial_cost();
+            for u in 0..self.n {
+                if self.supply[u] < 0 {
+                    self.cost[m + u] = art;
+                }
+            }
+        }
         if resume {
             self.stats.reused_arcs =
                 self.pred[..self.n].iter().filter(|&&a| (a as usize) < m).count();
@@ -778,7 +735,7 @@ impl Circulation {
 
     /// Counts the pairs whose cap or cost differs from the engine state,
     /// and their distinct endpoints.
-    fn count_delta(&mut self, caps: &[i64], costs: &[i64]) {
+    fn count_delta(&mut self, caps: &[i64], costs: &[C]) {
         self.touched.iter_mut().for_each(|t| *t = false);
         for k in 0..self.m {
             if caps[k] != self.cap[k] || costs[k] != self.cost[k] {
@@ -792,8 +749,9 @@ impl Circulation {
         }
     }
 
-    /// The artificial basis: zero flow everywhere, every node a child of
-    /// the root through its artificial arc, thread `root, 0, 1, …, n − 1`.
+    /// The artificial basis: zero flow on every pair, every node a child
+    /// of the root through its artificial arc carrying its supply (see
+    /// [`Self::with_supply`]), thread `root, 0, 1, …, n − 1`.
     fn cold_basis(&mut self) {
         let (n, m) = (self.n, self.m);
         self.flow.iter_mut().for_each(|f| *f = 0);
@@ -807,19 +765,37 @@ impl Circulation {
         self.rev_thread[0] = root as u32;
         self.succ_num[root] = n as u32 + 1;
         self.last_succ[root] = n.saturating_sub(1) as u32;
-        self.pi[root] = 0;
+        self.pi[root] = C::ZERO;
         for u in 0..n {
+            let (e, s) = (m + u, self.supply[u]);
             self.parent[u] = root as u32;
-            self.pred[u] = (m + u) as u32;
-            self.pred_dir[u] = UP;
+            self.pred[u] = e as u32;
             self.thread[u] = u as u32 + 1;
             self.rev_thread[u + 1] = u as u32;
             self.succ_num[u] = 1;
             self.last_succ[u] = u as u32;
-            self.pi[u] = 0;
-            self.state[m + u] = TREE;
+            self.state[e] = TREE;
+            self.flow[e] = s.abs();
+            (self.pred_dir[u], self.pi[u]) =
+                if s >= 0 { (UP, C::ZERO) } else { (DOWN, self.cost[e]) };
         }
         self.next_arc = 0;
+    }
+
+    /// The artificial cost `A = 1 + Σ_k |cost_k|` of the demand nodes'
+    /// down-arcs, after checking that `3Σ + 1` fits the cost type (the
+    /// overflow bound of [`Self::with_supply`]). Re-priced on every solve,
+    /// so a warm re-solve under new costs keeps a sound `A`.
+    fn artificial_cost(&self) -> C {
+        let sum = self.cost[..self.m]
+            .iter()
+            .try_fold(0i128, |acc, &c| acc.checked_add(c.into().checked_abs()?));
+        let max: i128 = C::UNREACHED.into();
+        assert!(
+            sum.and_then(|x| x.checked_mul(3)).is_some_and(|x| x < max),
+            "supply-form costs too large for the pivot cost type: 3·Σ|cost| + 1 overflows"
+        );
+        self.cost[..self.m].iter().fold(C::from(1), |a, &c| a + if c < C::ZERO { -c } else { c })
     }
 
     /// Recomputes every potential from the root down the thread, so tree
@@ -830,7 +806,7 @@ impl Circulation {
         while u != root {
             let e = self.pred[u] as usize;
             let p = self.parent[u] as usize;
-            self.pi[u] = self.pi[p] - i64::from(self.pred_dir[u]) * self.cost[e];
+            self.pi[u] = self.pi[p] - sign::<C>(self.pred_dir[u]) * self.cost[e];
             u = self.thread[u] as usize;
         }
     }
@@ -842,10 +818,10 @@ impl Circulation {
         let (m, block) = (self.m, self.block);
         let Self { state, cost, source, target, pi, .. } = self;
         let mut e = self.next_arc;
-        let (mut min, mut best, mut left) = (0i64, 0usize, block);
+        let (mut min, mut best, mut left) = (C::ZERO, 0usize, block);
         for _ in 0..m {
             let rc = cost[e] + pi[source[e] as usize] - pi[target[e] as usize];
-            let c = i64::from(state[e]) * rc;
+            let c = sign::<C>(state[e]) * rc;
             if c < min {
                 min = c;
                 best = e;
@@ -853,14 +829,14 @@ impl Circulation {
             e = if e + 1 == m { 0 } else { e + 1 };
             left -= 1;
             if left == 0 {
-                if min < 0 {
+                if min < C::ZERO {
                     break;
                 }
                 left = block;
             }
         }
         self.next_arc = e;
-        (min < 0).then_some(best)
+        (min < C::ZERO).then_some(best)
     }
 
     /// One simplex iteration on entering arc `in_arc`: find the cycle's
@@ -1099,11 +1075,11 @@ impl Circulation {
     fn update_potential(&mut self, p: &Pivot) {
         let sigma = self.pi[p.v_in]
             - self.pi[p.u_in]
-            - i64::from(self.pred_dir[p.u_in]) * self.cost[p.in_arc];
+            - sign::<C>(self.pred_dir[p.u_in]) * self.cost[p.in_arc];
         let end = self.thread[self.last_succ[p.u_in] as usize] as usize;
         let mut u = p.u_in;
         while u != end {
-            self.pi[u] += sigma;
+            self.pi[u] = self.pi[u] + sigma;
             u = self.thread[u] as usize;
         }
     }
@@ -1119,7 +1095,7 @@ impl Circulation {
     ///
     /// Panics on a negative residual cycle (impossible after a terminating
     /// [`Self::solve`]; guards misuse on an unsolved engine).
-    pub fn canonical_distances(&mut self) -> Vec<i64> {
+    pub fn canonical_distances(&mut self) -> Vec<C> {
         // Zero labels = virtual source; the exact (`eps = 0`) SPFA
         // fixpoint from fixed starting labels is unique, so this matches
         // any other relaxation order bit for bit. Slots without residual
@@ -1131,10 +1107,10 @@ impl Circulation {
             match a & 1 {
                 0 if flow[k] < cap[k] => cost[k],
                 1 if flow[k] > 0 => -cost[k],
-                _ => i64::MAX,
+                _ => C::UNREACHED,
             }
         };
-        match canon.relax(weight, 0) {
+        match canon.relax(weight, C::ZERO) {
             RelaxOutcome::Converged => canon.dist().to_vec(),
             RelaxOutcome::NegativeCycle(_) => {
                 panic!("negative residual cycle: circulation not optimal")
@@ -1273,9 +1249,10 @@ mod tests {
     /// of the spanning tree with consistent inverse, subtree sizes and last
     /// successors; tree arcs link each node to its parent with the stored
     /// orientation and zero reduced cost; nonbasic arcs sit at their bound;
-    /// flow is a feasible circulation; and the tree is strongly feasible
-    /// (every node can push a positive amount up to the root).
-    fn assert_basis(net: &Circulation) {
+    /// flow meets every supply (a circulation when all are zero); and the
+    /// tree is strongly feasible (every node can push a positive amount up
+    /// to the root).
+    fn assert_basis<C: PivotCost>(net: &Circulation<C>) {
         let (n, m) = (net.n, net.m);
         let root = n;
         let mut order = vec![root];
@@ -1312,7 +1289,7 @@ mod tests {
                 UP => assert_eq!((s, t), (u, p), "tree arc of {u}"),
                 _ => assert_eq!((s, t), (p, u), "tree arc of {u}"),
             }
-            assert_eq!(net.cost[e] + net.pi[s] - net.pi[t], 0, "tree arc {e} reduced cost");
+            assert_eq!(net.cost[e] + net.pi[s] - net.pi[t], C::ZERO, "tree arc {e} reduced cost");
             assert!(net.tree_residual(u, true) > 0, "tree not strongly feasible at {u}");
         }
         let mut excess = vec![0i64; n + 1];
@@ -1335,15 +1312,18 @@ mod tests {
                 assert_eq!(net.cap[e], 0, "only zero-cap pairs sit at state 0 off the tree");
             }
         }
-        assert!(excess.iter().all(|&x| x == 0), "flow is not a circulation");
+        for (u, (&x, &b)) in excess.iter().zip(&net.supply).enumerate() {
+            assert_eq!(x, -b, "flow misses the supply of {u}");
+        }
+        assert_eq!(excess[root], 0, "the root must balance");
     }
 
     /// [`Circulation::solve`] with the basis invariants checked after
     /// every pivot.
-    fn solve_checked(
-        net: &mut Circulation,
+    fn solve_checked<C: PivotCost>(
+        net: &mut Circulation<C>,
         caps: &[i64],
-        costs: &[i64],
+        costs: &[C],
         warm: bool,
     ) -> CirculationStats {
         net.install(caps, costs, warm);
@@ -1638,6 +1618,104 @@ mod tests {
         assert_eq!((stats.reused_arcs, stats.delta_pairs, stats.touched_nodes), (0, 0, 0));
     }
 
+    /// Min-cost flow meeting `supply` on the `f64` reference engine (super
+    /// source and sink around the supply and demand nodes); `None` when the
+    /// supplies cannot be met. Needs non-negative costs.
+    fn reference_supply_cost(
+        pairs: &[(u32, u32)],
+        caps: &[i64],
+        costs: &[i64],
+        supply: &[i64],
+    ) -> Option<f64> {
+        let n = supply.len();
+        let mut reference = FlowNetwork::new(n + 2);
+        let (s, t) = (reference.node(n), reference.node(n + 1));
+        for ((&(f, to), &cap), &cost) in pairs.iter().zip(caps).zip(costs) {
+            let (f, to) = (reference.node(f as usize), reference.node(to as usize));
+            reference.add_arc(f, to, cap, cost as f64);
+        }
+        for (u, &b) in supply.iter().enumerate() {
+            match b {
+                b if b > 0 => reference.add_arc(s, reference.node(u), b, 0.0),
+                b if b < 0 => reference.add_arc(reference.node(u), t, -b, 0.0),
+                _ => continue,
+            };
+        }
+        let total: i64 = supply.iter().filter(|&&b| b > 0).sum();
+        if total == 0 {
+            return Some(0.0);
+        }
+        let (flow, cost) = reference.min_cost_flow(s, t, total)?;
+        (flow == total).then_some(cost)
+    }
+
+    #[test]
+    fn supply_form_matches_reference() {
+        let mut feasible = 0;
+        for seed in 0..24u64 {
+            let (pairs, caps, mut costs) = random_instance(9, 24, 0x5EED + seed);
+            costs.iter_mut().for_each(|c| *c = c.abs());
+            let mut state = seed | 1;
+            let mut supply = vec![0i64; 9];
+            for _ in 0..4 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let (a, b) = ((state >> 33) as usize % 9, (state >> 45) as usize % 9);
+                supply[a] += 2;
+                supply[b] -= 2;
+            }
+            let want = reference_supply_cost(&pairs, &caps, &costs, &supply);
+            let wide: Vec<i128> = costs.iter().map(|&c| i128::from(c)).collect();
+            let mut net = Circulation::with_supply(9, &pairs, &supply);
+            solve_checked(&mut net, &caps, &wide, false);
+            assert_eq!(net.is_feasible(), want.is_some(), "seed {seed}: feasibility");
+            if let Some(want) = want {
+                feasible += 1;
+                assert_eq!(net.total_cost() as f64, want, "seed {seed}");
+                let d = net.canonical_distances();
+                for k in 0..net.num_pairs() {
+                    let (u, v) = (pairs[k].0 as usize, pairs[k].1 as usize);
+                    let rc = wide[k] + d[u] - d[v];
+                    assert!(net.flow(k) == caps[k] || rc >= 0, "seed {seed}: pair {k} forward");
+                    assert!(net.flow(k) == 0 || rc <= 0, "seed {seed}: pair {k} reverse");
+                }
+            }
+            // Warm re-solve under drifted costs (same caps and supplies)
+            // agrees with a cold solve of the drifted instance.
+            let drifted: Vec<i128> =
+                wide.iter().enumerate().map(|(k, &c)| if k % 3 == 0 { c + 3 } else { c }).collect();
+            solve_checked(&mut net, &caps, &drifted, true);
+            let mut cold = Circulation::with_supply(9, &pairs, &supply);
+            cold.solve(&caps, &drifted, false);
+            assert_eq!(net.is_feasible(), cold.is_feasible(), "seed {seed}: warm feasibility");
+            if cold.is_feasible() {
+                assert_eq!(net.total_cost(), cold.total_cost(), "seed {seed}: warm optimum");
+                assert_eq!(net.canonical_distances(), cold.canonical_distances());
+            }
+        }
+        assert!(feasible >= 6, "too few feasible draws ({feasible}) to exercise the solve");
+    }
+
+    #[test]
+    fn zero_supplies_reproduce_the_circulation_solve() {
+        let (pairs, caps, costs) = scaled_instance(10, 26, 0xABC);
+        let mut plain = Circulation::new(10, &pairs);
+        let mut supplied = Circulation::with_supply(10, &pairs, &[0; 10]);
+        let a = plain.solve(&caps, &costs, false);
+        let b = solve_checked(&mut supplied, &caps, &costs, false);
+        assert_eq!(a, b, "all-zero supplies must pivot exactly like the plain engine");
+        assert_eq!(plain.total_cost(), supplied.total_cost());
+        assert!(supplied.is_feasible());
+        assert_eq!(plain.canonical_distances(), supplied.canonical_distances());
+    }
+
+    #[test]
+    #[should_panic(expected = "3·Σ|cost| + 1 overflows")]
+    fn supply_form_refuses_costs_beyond_the_pivot_type() {
+        let c = 1i64 << 61;
+        let mut net = Circulation::with_supply(2, &[(0, 1), (0, 1)], &[1, -1]);
+        net.solve(&[1, 1], &[c, c], false);
+    }
+
     #[test]
     fn optimal_potentials_certify_no_negative_reduced_cost() {
         let mut net = FlowNetwork::new(4);
@@ -1661,14 +1739,12 @@ mod tests {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental bipartite transportation (the stage-3 assignment engine).
+// Bipartite transportation (the stage-3 assignment).
 // ---------------------------------------------------------------------------
 
 /// The transportation instance admits no full assignment: some flip-flop
 /// cannot reach the sink through the remaining ring capacity. Feasibility
-/// is a property of the *problem* (a max-flow cut), so warm and cold
-/// solves of the same instance fail alike; the engine resets itself and
-/// the next [`Transportation::solve`] starts from scratch.
+/// is a property of the *problem* (a max-flow cut), not of the solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportationInfeasible;
 
@@ -1680,719 +1756,112 @@ impl std::fmt::Display for TransportationInfeasible {
 
 impl std::error::Error for TransportationInfeasible {}
 
-/// Effort counters of one [`Transportation::solve`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportationStats {
-    /// Augmenting paths pushed in phase 2 (tree serves plus blocking-flow
-    /// augmentations).
-    pub correction_paths: usize,
-    /// Multi-source Dijkstra rounds (each serves a batch of excesses).
-    pub rounds: usize,
-    /// Residual slots force-saturated in phase 1 (negative reduced cost
-    /// under the starting potentials).
-    pub saturated_arcs: usize,
-    /// Pairs whose carried flow survived the rebind untouched — candidate
-    /// `(ff, ring)` arcs still priced as before (or re-installed by key
-    /// across a structural rebuild) and ring pairs whose load fit the new
-    /// cap. Zero on cold solves.
-    pub reused_arcs: usize,
-    /// Pairs re-priced or re-capped relative to the carried engine state;
-    /// the full pair count on any rebuild. Zero on a duplicate warm solve.
-    pub delta_pairs: usize,
-    /// Distinct endpoint nodes of the changed pairs (the whole node set on
-    /// a rebuild).
-    pub touched_nodes: usize,
+/// The optimum [`solve_transportation`] extracts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TransportationSolution {
+    /// Ring id per flip-flop (canonical: a function of the instance alone).
+    pub assignment: Vec<u32>,
+    /// Exact quantized cost of `assignment`, the optimal objective
+    /// (`i128`: `f` arcs of up to ~2^57 each overflow `i64`).
+    pub total_cost: i128,
+    /// Network-simplex pivots of the solve, degenerate pivots and bound
+    /// flips included.
+    pub pivots: usize,
 }
 
-/// Incremental exact min-cost bipartite transportation: `f` unit-supply
-/// flip-flops, `r` capacitated rings, one sink. The Fig.-3 stage-3
-/// assignment re-solves this every placement↔skew iteration with slowly
-/// drifting costs; this engine carries flow and dual potentials across
-/// those solves the way [`Circulation`] does for stage 4.
+/// Exact min-cost bipartite transportation, the Fig.-3 stage-3
+/// assignment: `f` unit-supply flip-flops, `r` capacitated rings, one sink
+/// demanding `f`. `cands[i]` lists flip-flop `i`'s `(ring, quantized_cost)`
+/// candidates in rank order (the order is the deterministic tiebreak);
+/// `ring_caps[j]` is ring `j`'s capacity.
 ///
-/// Same paired-slot CSR residual layout as [`Circulation`]: pair `k` owns
-/// forward slot `2k` and twin `2k + 1`; candidate pairs first (grouped by
-/// flip-flop, in candidate-rank order), then one `ring → sink` pair per
-/// ring. Node ids: flip-flop `i` = `i`, ring `j` = `f + j`, sink =
-/// `f + r`. Costs are exact integers (callers quantize once, as stage 4
-/// does), so optimality is exact and the recovered duals are canonical.
+/// The instance is solved cold on the supply form of [`Circulation`]
+/// (`i128` pivot arithmetic, see [`Circulation::with_supply`]). Node ids:
+/// flip-flop `i` = `i`, ring `j` = `f + j`, sink = `f + r`. Pairs: the
+/// candidate arcs `i → f + ring` grouped by flip-flop in rank order, then
+/// one `ring → sink` pair per ring.
 ///
-/// A warm [`Self::solve`] diffs the new instance against the carried
-/// state: same candidate structure → re-price drifted arcs in place and
-/// clamp changed ring caps (shedding overflow into excess); changed
-/// structure → rebuild the CSR but re-install carried flow keyed by
-/// `(ff, ring)` and keep the potentials (node identity is fixed at
-/// construction). Phase 1 re-saturates slots whose reduced cost went
-/// negative; phase 2 routes the imbalance with *reverse* multi-source
-/// Dijkstra rounds — sources are the deficits, settled nodes the
-/// excesses — so one round serves a whole batch of flip-flops through
-/// shared tree serves and the engine-shared [`admissible_blocking_flow`]
-/// pass. (Forward rounds would settle the lone sink deficit and serve
-/// ~one unit each — the orientation is what makes cold solves a handful
-/// of rounds instead of `f`.)
+/// The assignment is recovered from [`Circulation::canonical_distances`],
+/// a constant of the problem, never from the solver's flow: arcs with
+/// negative canonical reduced cost are in *every* optimum and force their
+/// flip-flop; the rest is settled by degree-one peeling over the tight
+/// subgraph and, for the genuinely ambiguous residue, a deterministic
+/// min-cost matching that prefers lower candidate rank. The answer is
+/// therefore the same whichever optimal flow the pivots land on.
 ///
-/// The extracted assignment is **bit-identical between warm and cold**
-/// solves of the same instance by construction, not by luck: it is
-/// recovered from [`Self::canonical_distances`] (a constant of the
-/// problem) — arcs with negative canonical reduced cost are in *every*
-/// optimum and force their flip-flop; the rare flip-flops left ambiguous
-/// by exact cost ties are completed by a deterministic min-cost matching
-/// over the tight subgraph that prefers lower candidate rank. The
-/// engine's internal flow never leaks into the answer.
-#[derive(Debug, Clone)]
-pub struct Transportation {
-    f: usize,
-    r: usize,
-    n: usize,
-    built: bool,
-    /// Candidate ring ids per flip-flop of the built CSR, in rank order.
-    structure: Vec<Vec<u32>>,
-    ring_caps: Vec<i64>,
-    n_cand_pairs: usize,
-    heads: Vec<u32>,
-    cap: Vec<i64>,
-    cost: Vec<i64>,
-    csr_start: Vec<u32>,
-    csr_arcs: Vec<u32>,
-    potential: Vec<i64>,
-    excess: Vec<i64>,
-    dij: Dijkstra<i64>,
-    canon: WarmSpfa<i64>,
-    stats: TransportationStats,
-    label: &'static str,
-    changed: Vec<u32>,
-    node_stamp: Vec<u32>,
-    stamp_round: u32,
-    cur: Vec<u32>,
-    on_path: Vec<bool>,
-    dead: Vec<bool>,
-    path: Vec<u32>,
+/// # Errors
+///
+/// [`TransportationInfeasible`] when the ring capacities and candidate
+/// lists cannot absorb every flip-flop.
+///
+/// # Panics
+///
+/// Panics if a candidate names a ring `≥ r` or a capacity is negative.
+pub fn solve_transportation(
+    cands: &[Vec<(u32, i64)>],
+    ring_caps: &[i64],
+) -> Result<TransportationSolution, TransportationInfeasible> {
+    let (f, r) = (cands.len(), ring_caps.len());
+    let sink = (f + r) as u32;
+    let m = cands.iter().map(Vec::len).sum::<usize>() + r;
+    let mut pairs = Vec::with_capacity(m);
+    let mut caps = Vec::with_capacity(m);
+    let mut costs: Vec<i128> = Vec::with_capacity(m);
+    for (i, list) in cands.iter().enumerate() {
+        for &(ring, c) in list {
+            assert!((ring as usize) < r, "candidate ring {ring} out of range");
+            pairs.push((i as u32, f as u32 + ring));
+            caps.push(1);
+            costs.push(i128::from(c));
+        }
+    }
+    for (j, &cap) in ring_caps.iter().enumerate() {
+        pairs.push(((f + j) as u32, sink));
+        caps.push(cap);
+        costs.push(0);
+    }
+    let mut supply = vec![1i64; f + r + 1];
+    supply[f..].fill(0);
+    supply[f + r] = -(f as i64);
+    // The engine is dropped before the extraction allocates, which keeps
+    // the pass's peak heap footprint small.
+    let (d, pivots) = {
+        let mut net = Circulation::with_supply(f + r + 1, &pairs, &supply);
+        let stats = net.solve(&caps, &costs, false);
+        if !net.is_feasible() {
+            return Err(TransportationInfeasible);
+        }
+        (net.canonical_distances(), stats.pivots)
+    };
+    let mut ex = Extraction { cands, ring_caps, d, assignment: vec![u32::MAX; f] };
+    let total_cost = ex.extract();
+    Ok(TransportationSolution { assignment: ex.assignment, total_cost, pivots })
+}
+
+/// A solved transportation instance and its canonical distances `d`, as
+/// the assignment extraction reads them.
+struct Extraction<'a> {
+    cands: &'a [Vec<(u32, i64)>],
+    ring_caps: &'a [i64],
+    d: Vec<i128>,
+    /// Ring per flip-flop; `u32::MAX` while unassigned.
     assignment: Vec<u32>,
-    total_cost: i128,
 }
 
-/// Carry key of candidate arc `(ff, ring)` — the same keying discipline as
-/// the stage-3 LP columns (`core::assign::col_key`), so carried flow
-/// survives candidate add/drop between iterations.
-fn tp_key(ff: usize, ring: u32) -> u64 {
-    ((ff as u64) << 32) | (u64::from(ring) + 1)
-}
-
-impl Transportation {
-    /// Engine for `f` flip-flops and `r` rings. The node set is fixed for
-    /// the engine's lifetime; candidate arcs and capacities arrive per
-    /// [`Self::solve`].
-    pub fn new(f: usize, r: usize) -> Self {
-        let n = f + r + 1;
-        Self {
-            f,
-            r,
-            n,
-            built: false,
-            structure: Vec::new(),
-            ring_caps: Vec::new(),
-            n_cand_pairs: 0,
-            heads: Vec::new(),
-            cap: Vec::new(),
-            cost: Vec::new(),
-            csr_start: Vec::new(),
-            csr_arcs: Vec::new(),
-            potential: vec![0; n],
-            excess: vec![0; n],
-            dij: Dijkstra::new(n),
-            canon: WarmSpfa::new(n, &[]),
-            stats: TransportationStats::default(),
-            label: "",
-            changed: Vec::new(),
-            node_stamp: vec![u32::MAX; n],
-            stamp_round: 0,
-            cur: vec![0; n],
-            on_path: vec![false; n],
-            dead: vec![false; n],
-            path: Vec::new(),
-            assignment: Vec::new(),
-            total_cost: 0,
-        }
+impl Extraction<'_> {
+    /// Canonical reduced cost `c + d_ff − d_ring` of candidate arc
+    /// `(i, ring)` at quantized cost `c`.
+    fn rc(&self, i: usize, ring: u32, c: i64) -> i128 {
+        i128::from(c) + self.d[i] - self.d[self.cands.len() + ring as usize]
     }
 
-    /// `"tp-cold"` or `"tp-warm"` — how the last [`Self::solve`] started
-    /// (empty before the first).
-    pub fn backend_label(&self) -> &'static str {
-        self.label
+    /// Canonical reduced cost `d_ring − d_sink` of ring `j`'s sink pair.
+    fn rc_sink(&self, j: usize) -> i128 {
+        let f = self.cands.len();
+        self.d[f + j] - self.d[f + self.ring_caps.len()]
     }
 
-    /// The `(f, r)` the engine was built for — carried contexts recreate
-    /// the engine when the problem dimensions change.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.f, self.r)
-    }
-
-    /// Counters of the last [`Self::solve`].
-    pub fn stats(&self) -> TransportationStats {
-        self.stats
-    }
-
-    /// Ring id assigned to each flip-flop by the last successful
-    /// [`Self::solve`] (canonical — identical for warm and cold).
-    pub fn assignment(&self) -> &[u32] {
-        &self.assignment
-    }
-
-    /// Exact quantized cost of [`Self::assignment`] — the optimal
-    /// objective (`i128`: `f` arcs of up to ~2^57 each overflow `i64`
-    /// headroom on large drifted instances).
-    pub fn total_cost(&self) -> i128 {
-        self.total_cost
-    }
-
-    /// Solves the instance: candidate `(ring, quantized_cost)` lists per
-    /// flip-flop (rank order — the order is the deterministic tiebreak)
-    /// and per-ring capacities. `warm` reuses the carried flow and
-    /// potentials (automatically downgraded to cold when nothing is
-    /// carried); cold re-initializes in place.
-    ///
-    /// On `Err` the engine has reset itself; the next solve is cold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cands.len() != f`, `ring_caps.len() != r`, or a
-    /// candidate names a ring out of range.
-    pub fn solve(
-        &mut self,
-        cands: &[Vec<(u32, i64)>],
-        ring_caps: &[i64],
-        warm: bool,
-    ) -> Result<TransportationStats, TransportationInfeasible> {
-        assert_eq!(cands.len(), self.f, "candidate list count != f");
-        assert_eq!(ring_caps.len(), self.r, "ring cap count != r");
-        let warm = warm && self.built;
-        self.stats = TransportationStats::default();
-        self.stamp_round = self.stamp_round.wrapping_add(1);
-        if warm && self.same_structure(cands) {
-            self.label = "tp-warm";
-            self.patch(cands, ring_caps);
-        } else {
-            self.label = if warm { "tp-warm" } else { "tp-cold" };
-            self.rebuild(cands, ring_caps, warm);
-        }
-        self.route_excess()?;
-        self.extract(cands);
-        Ok(self.stats)
-    }
-
-    fn same_structure(&self, cands: &[Vec<(u32, i64)>]) -> bool {
-        self.structure.len() == cands.len()
-            && self
-                .structure
-                .iter()
-                .zip(cands)
-                .all(|(s, c)| s.len() == c.len() && s.iter().zip(c).all(|(&j, &(cj, _))| j == cj))
-    }
-
-    /// Marks `v` touched this solve (for [`TransportationStats::touched_nodes`]).
-    fn touch(&mut self, v: usize) {
-        if self.node_stamp[v] != self.stamp_round {
-            self.node_stamp[v] = self.stamp_round;
-            self.stats.touched_nodes += 1;
-        }
-    }
-
-    /// Warm rebind on unchanged structure: re-price drifted candidate
-    /// arcs in place, clamp changed ring caps (shedding the overflow into
-    /// node excess), then re-saturate exactly the changed pairs — an
-    /// unchanged pair's slots are byte-identical to the previous solve's,
-    /// whose optimality certificate already proved them non-negative
-    /// under the carried potentials.
-    fn patch(&mut self, cands: &[Vec<(u32, i64)>], ring_caps: &[i64]) {
-        debug_assert!(self.excess.iter().all(|&e| e == 0));
-        self.changed.clear();
-        let mut k = 0usize;
-        for (i, list) in cands.iter().enumerate() {
-            for &(ring, c) in list {
-                let a = 2 * k;
-                if self.cost[a] != c {
-                    self.cost[a] = c;
-                    self.cost[a ^ 1] = -c;
-                    self.changed.push(k as u32);
-                    self.touch(i);
-                    self.touch(self.f + ring as usize);
-                } else if self.cap[a ^ 1] > 0 {
-                    self.stats.reused_arcs += 1;
-                }
-                k += 1;
-            }
-        }
-        let sink = self.n - 1;
-        for (j, &cap_j) in ring_caps.iter().enumerate() {
-            let k = self.n_cand_pairs + j;
-            let a = 2 * k;
-            let carried = self.cap[a ^ 1];
-            if self.cap[a] + carried == cap_j {
-                if carried > 0 {
-                    self.stats.reused_arcs += 1;
-                }
-                continue;
-            }
-            let keep = carried.min(cap_j);
-            let shed = carried - keep;
-            self.cap[a] = cap_j - keep;
-            self.cap[a ^ 1] = keep;
-            if shed > 0 {
-                self.excess[self.f + j] += shed;
-                self.excess[sink] -= shed;
-            }
-            self.changed.push(k as u32);
-            self.touch(self.f + j);
-            self.touch(sink);
-        }
-        self.ring_caps.clear();
-        self.ring_caps.extend_from_slice(ring_caps);
-        self.stats.delta_pairs = self.changed.len();
-        let changed = std::mem::take(&mut self.changed);
-        for &k in &changed {
-            self.saturate_slot(2 * k as usize);
-            self.saturate_slot(2 * k as usize + 1);
-        }
-        self.changed = changed;
-    }
-
-    /// (Re)initializes the residual arrays for a new candidate structure
-    /// (or a cold start on the existing one). With `carry`, flow survives
-    /// keyed by `(ff, ring)` — a carried unit whose arc still exists is
-    /// re-installed, everything else starts empty — and the potentials are
-    /// kept (node identity is fixed); without, flow and potentials reset.
-    fn rebuild(&mut self, cands: &[Vec<(u32, i64)>], ring_caps: &[i64], carry: bool) {
-        let carried: std::collections::HashSet<u64> = if carry {
-            let mut s = std::collections::HashSet::new();
-            let mut k = 0usize;
-            for (i, list) in self.structure.iter().enumerate() {
-                for &ring in list {
-                    if self.cap[2 * k + 1] > 0 {
-                        s.insert(tp_key(i, ring));
-                    }
-                    k += 1;
-                }
-            }
-            s
-        } else {
-            std::collections::HashSet::new()
-        };
-        if !self.same_structure(cands) {
-            self.build_csr(cands);
-        }
-        // Install caps/costs; re-seat carried flow where its arc survived.
-        let mut inflow = vec![0i64; self.r];
-        let mut k = 0usize;
-        for (i, list) in cands.iter().enumerate() {
-            let mut out = 0i64;
-            for &(ring, c) in list {
-                let a = 2 * k;
-                self.cost[a] = c;
-                self.cost[a ^ 1] = -c;
-                if out == 0 && carry && carried.contains(&tp_key(i, ring)) {
-                    self.cap[a] = 0;
-                    self.cap[a ^ 1] = 1;
-                    inflow[ring as usize] += 1;
-                    out = 1;
-                    self.stats.reused_arcs += 1;
-                } else {
-                    self.cap[a] = 1;
-                    self.cap[a ^ 1] = 0;
-                }
-                k += 1;
-            }
-            self.excess[i] = 1 - out;
-        }
-        let mut sink_flow = 0i64;
-        for (j, &cap_j) in ring_caps.iter().enumerate() {
-            let a = 2 * (self.n_cand_pairs + j);
-            self.cost[a] = 0;
-            self.cost[a ^ 1] = 0;
-            let flow = inflow[j].min(cap_j);
-            self.cap[a] = cap_j - flow;
-            self.cap[a ^ 1] = flow;
-            if flow > 0 {
-                self.stats.reused_arcs += 1;
-            }
-            self.excess[self.f + j] = inflow[j] - flow;
-            sink_flow += flow;
-        }
-        self.excess[self.n - 1] = sink_flow - self.f as i64;
-        if !carry {
-            self.potential.iter_mut().for_each(|p| *p = 0);
-        }
-        self.ring_caps.clear();
-        self.ring_caps.extend_from_slice(ring_caps);
-        self.stats.delta_pairs = self.n_cand_pairs + self.r;
-        self.stats.touched_nodes = self.n;
-        self.built = true;
-        for a in 0..self.heads.len() {
-            self.saturate_slot(a);
-        }
-    }
-
-    /// Rebuilds heads/CSR/canonical-SPFA for a new candidate structure.
-    fn build_csr(&mut self, cands: &[Vec<(u32, i64)>]) {
-        self.structure.clear();
-        self.structure
-            .extend(cands.iter().map(|list| list.iter().map(|&(j, _)| j).collect::<Vec<u32>>()));
-        self.n_cand_pairs = cands.iter().map(Vec::len).sum();
-        let n_pairs = self.n_cand_pairs + self.r;
-        let sink = (self.n - 1) as u32;
-        self.heads.clear();
-        self.heads.reserve(2 * n_pairs);
-        for (i, list) in cands.iter().enumerate() {
-            for &(ring, _) in list {
-                let ring = ring as usize;
-                assert!(ring < self.r, "candidate ring {ring} out of range");
-                self.heads.push((self.f + ring) as u32);
-                self.heads.push(i as u32);
-            }
-        }
-        for j in 0..self.r {
-            self.heads.push(sink);
-            self.heads.push((self.f + j) as u32);
-        }
-        // CSR over slots, grouped by tail (= head of the twin).
-        self.csr_start.clear();
-        self.csr_start.resize(self.n + 1, 0);
-        for a in 0..self.heads.len() {
-            self.csr_start[self.heads[a ^ 1] as usize + 1] += 1;
-        }
-        for u in 0..self.n {
-            self.csr_start[u + 1] += self.csr_start[u];
-        }
-        let mut cursor = self.csr_start.clone();
-        self.csr_arcs.clear();
-        self.csr_arcs.resize(self.heads.len(), 0);
-        for a in 0..self.heads.len() {
-            let u = self.heads[a ^ 1] as usize;
-            self.csr_arcs[cursor[u] as usize] = a as u32;
-            cursor[u] += 1;
-        }
-        self.cap.clear();
-        self.cap.resize(self.heads.len(), 0);
-        self.cost.clear();
-        self.cost.resize(self.heads.len(), 0);
-        let slot_arcs: Vec<(usize, usize)> = (0..self.heads.len())
-            .map(|a| (self.heads[a ^ 1] as usize, self.heads[a] as usize))
-            .collect();
-        self.canon = WarmSpfa::new(self.n, &slot_arcs);
-    }
-
-    /// Saturates residual slot `a` if its reduced cost under the current
-    /// potentials is negative (phase-1 step).
-    fn saturate_slot(&mut self, a: usize) {
-        if self.cap[a] <= 0 {
-            return;
-        }
-        let u = self.heads[a ^ 1] as usize;
-        let v = self.heads[a] as usize;
-        if self.cost[a] + self.potential[u] - self.potential[v] < 0 {
-            let push = self.cap[a];
-            self.cap[a] = 0;
-            self.cap[a ^ 1] += push;
-            self.excess[v] += push;
-            self.excess[u] -= push;
-            self.stats.saturated_arcs += 1;
-        }
-    }
-
-    /// Phase 2: route all node imbalances back at minimum cost. Each
-    /// round is one multi-source Dijkstra on the shared kernel, with the
-    /// orientation picked per round from the imbalance shape:
-    ///
-    /// * **Reverse** (one deficit node — the cold shape, where only the
-    ///   sink is short): sources are the deficits, the pass settles
-    ///   excess nodes until the settled supply covers the outstanding
-    ///   total, and the potential update is the mirrored
-    ///   `π_v -= min(dist_v, d_max)`. One terminal with huge absorption
-    ///   means the settled trees serve dozens of chains per round.
-    /// * **Forward** (scattered deficits — the warm-repair shape, where
-    ///   re-pricing displaced units all over the graph): sources are the
-    ///   excess nodes and the pass settles deficits, exactly like
-    ///   [`Circulation::route_excess`]. Every settled deficit is a
-    ///   distinct chain terminal, so a round serves ~one unit per
-    ///   settled deficit instead of ~one per *winning* deficit — on
-    ///   scattered ±1 imbalances this is the difference between a
-    ///   handful of rounds and one round per unit.
-    ///
-    /// Either way the settled shortest-path trees are admissible after
-    /// the capped update: tree serves push along pred chains and
-    /// whatever they leave stranded is rerouted by
-    /// [`admissible_blocking_flow`] from the excess-side roots. A round
-    /// that settles nothing while imbalance remains proves a saturated
-    /// cut: the instance is infeasible.
-    fn route_excess(&mut self) -> Result<(), TransportationInfeasible> {
-        let mut total: i64 = self.excess.iter().filter(|&&e| e > 0).sum();
-        debug_assert_eq!(self.excess.iter().sum::<i64>(), 0, "imbalance must net out");
-        let mut served: Vec<u32> = Vec::new();
-        let mut roots: Vec<u32> = Vec::new();
-        while total > 0 {
-            self.stats.rounds += 1;
-            let n_def = self.excess.iter().filter(|&&e| e < 0).count();
-            let n_exc = self.excess.iter().filter(|&&e| e > 0).count();
-            // Settle the scattered side, source from the concentrated
-            // side: chains terminate at distinct settled nodes, so the
-            // round serves up to one chain per settled node — while the
-            // concentrated side's large per-node mass keeps shared
-            // chain roots from starving the serves.
-            let forward = n_def >= n_exc;
-            let mut d_max = 0i64;
-            let mut served_cap = 0i64;
-            served.clear();
-            {
-                let dij = &mut self.dij;
-                let (heads, cap, cost) = (&self.heads, &self.cap, &self.cost);
-                let (csr_start, csr_arcs) = (&self.csr_start, &self.csr_arcs);
-                let (potential, excess) = (&self.potential, &self.excess);
-                let served = &mut served;
-                if forward {
-                    let sources =
-                        excess.iter().enumerate().filter_map(|(v, &e)| (e > 0).then_some(v));
-                    let arcs = |u: usize| {
-                        let row = csr_start[u] as usize..csr_start[u + 1] as usize;
-                        csr_arcs[row].iter().filter_map(move |&a| {
-                            let ai = a as usize;
-                            if cap[ai] <= 0 {
-                                return None;
-                            }
-                            let v = heads[ai] as usize;
-                            let rc = cost[ai] + potential[u] - potential[v];
-                            debug_assert!(rc >= 0, "negative reduced cost inside Dijkstra");
-                            Some((a, heads[ai], rc))
-                        })
-                    };
-                    let settle = |u: usize, d: i64| {
-                        if excess[u] < 0 {
-                            served.push(u as u32);
-                            served_cap += -excess[u];
-                            d_max = d;
-                            if served_cap >= total {
-                                return SettleControl::Stop;
-                            }
-                        }
-                        SettleControl::Continue
-                    };
-                    dij.run(sources, 0, arcs, settle);
-                } else {
-                    let sources =
-                        excess.iter().enumerate().filter_map(|(v, &e)| (e < 0).then_some(v));
-                    // In-arcs of `u` are the twins of its CSR row;
-                    // relaxing slot `b = a ^ 1` (forward `w → u`) walks
-                    // the residual graph backward, so `dist` measures
-                    // cost *to* the deficit and pred chains point along
-                    // forward arcs.
-                    let arcs = |u: usize| {
-                        let row = csr_start[u] as usize..csr_start[u + 1] as usize;
-                        csr_arcs[row].iter().filter_map(move |&a| {
-                            let b = (a ^ 1) as usize;
-                            if cap[b] <= 0 {
-                                return None;
-                            }
-                            let w = heads[a as usize] as usize;
-                            let rc = cost[b] + potential[w] - potential[u];
-                            debug_assert!(rc >= 0, "negative reduced cost inside Dijkstra");
-                            Some((a ^ 1, heads[a as usize], rc))
-                        })
-                    };
-                    let settle = |u: usize, d: i64| {
-                        if excess[u] > 0 {
-                            served.push(u as u32);
-                            served_cap += excess[u];
-                            d_max = d;
-                            if served_cap >= total {
-                                return SettleControl::Stop;
-                            }
-                        }
-                        SettleControl::Continue
-                    };
-                    dij.run(sources, 0, arcs, settle);
-                }
-            }
-            if served.is_empty() {
-                // No excess can reach a deficit: a saturated cut separates
-                // some flip-flop from the sink. Reset so the next solve
-                // starts clean.
-                self.built = false;
-                self.excess.iter_mut().for_each(|e| *e = 0);
-                self.potential.iter_mut().for_each(|p| *p = 0);
-                return Err(TransportationInfeasible);
-            }
-            // Capped update: every unsettled node's tentative label is
-            // ≥ d_max when the pass stops, so the clamp keeps the
-            // reduced-cost invariant on arcs crossing the settled set.
-            if forward {
-                for (p, &d) in self.potential.iter_mut().zip(self.dij.dist()) {
-                    *p += d.min(d_max);
-                }
-            } else {
-                for (p, &d) in self.potential.iter_mut().zip(self.dij.dist()) {
-                    *p -= d.min(d_max);
-                }
-            }
-            let want = served_cap.min(total);
-            let mut pushed = if forward {
-                self.tree_serve_forward(&served, total)
-            } else {
-                self.tree_serve(&served, total)
-            };
-            if pushed < want {
-                // Blocking-flow roots are always the excess side of the
-                // settled trees: the settled excess nodes themselves in
-                // reverse orientation, the tree roots of the settled
-                // deficits in forward orientation (any other excess kept
-                // a strictly positive reduced distance to every settled
-                // deficit, and the capped update preserves that gap).
-                roots.clear();
-                if forward {
-                    let pred = self.dij.pred();
-                    for &t in &served {
-                        let mut v = t as usize;
-                        while pred[v] != NO_PRED {
-                            v = self.heads[pred[v] as usize ^ 1] as usize;
-                        }
-                        roots.push(v as u32);
-                    }
-                    roots.sort_unstable();
-                    roots.dedup();
-                } else {
-                    roots.extend_from_slice(&served);
-                    roots.sort_unstable();
-                }
-                pushed += admissible_blocking_flow(
-                    BlockingScratch {
-                        heads: &self.heads,
-                        cap: &mut self.cap,
-                        cost: &self.cost,
-                        csr_start: &self.csr_start,
-                        csr_arcs: &self.csr_arcs,
-                        potential: &self.potential,
-                        excess: &mut self.excess,
-                        cur: &mut self.cur,
-                        on_path: &mut self.on_path,
-                        dead: &mut self.dead,
-                        path: &mut self.path,
-                    },
-                    &roots,
-                    &mut self.stats.correction_paths,
-                );
-            }
-            total -= pushed;
-        }
-        Ok(())
-    }
-
-    /// Serves settled deficits along their forward-orientation Dijkstra
-    /// pred chains (root excess → deficit), in settle order: bottleneck
-    /// the chain, push, move on — the mirror of [`Self::tree_serve`].
-    /// The first served deficit's chain is always unsaturated and its
-    /// root still in excess, so every call pushes ≥ 1 unit.
-    fn tree_serve_forward(&mut self, served: &[u32], total: i64) -> i64 {
-        let mut pushed = 0i64;
-        let pred = self.dij.pred();
-        for &t in served {
-            let t = t as usize;
-            let mut push = -self.excess[t];
-            if push <= 0 {
-                continue;
-            }
-            let mut v = t;
-            while pred[v] != NO_PRED {
-                let a = pred[v] as usize;
-                push = push.min(self.cap[a]);
-                v = self.heads[a ^ 1] as usize;
-            }
-            let root = v;
-            push = push.min(self.excess[root]);
-            if push <= 0 {
-                continue;
-            }
-            let mut v = t;
-            while pred[v] != NO_PRED {
-                let a = pred[v] as usize;
-                self.cap[a] -= push;
-                self.cap[a ^ 1] += push;
-                v = self.heads[a ^ 1] as usize;
-            }
-            self.excess[root] -= push;
-            self.excess[t] += push;
-            pushed += push;
-            self.stats.correction_paths += 1;
-            if pushed == total {
-                break;
-            }
-        }
-        pushed
-    }
-
-    /// Serves settled excess nodes along their reverse-Dijkstra pred
-    /// chains (which point forward, excess → deficit), in settle order:
-    /// bottleneck the chain, push, move on. The first served excess's
-    /// chain is always unsaturated and its terminal still in deficit, so
-    /// every call pushes ≥ 1 unit — the round-progress guarantee of
-    /// [`Self::route_excess`].
-    fn tree_serve(&mut self, served: &[u32], total: i64) -> i64 {
-        let mut pushed = 0i64;
-        let pred = self.dij.pred();
-        for &s in served {
-            let s = s as usize;
-            let mut push = self.excess[s];
-            if push <= 0 {
-                continue;
-            }
-            let mut v = s;
-            while pred[v] != NO_PRED {
-                let a = pred[v] as usize;
-                push = push.min(self.cap[a]);
-                v = self.heads[a] as usize;
-            }
-            let t = v;
-            push = push.min(-self.excess[t]);
-            if push <= 0 {
-                continue;
-            }
-            let mut v = s;
-            while pred[v] != NO_PRED {
-                let a = pred[v] as usize;
-                self.cap[a] -= push;
-                self.cap[a ^ 1] += push;
-                v = self.heads[a] as usize;
-            }
-            self.excess[s] -= push;
-            self.excess[t] += push;
-            pushed += push;
-            self.stats.correction_paths += 1;
-            if pushed == total {
-                break;
-            }
-        }
-        pushed
-    }
-
-    /// Shortest integer distances from the virtual source over the
-    /// residual arcs of the current flow — the canonical dual, a constant
-    /// of the problem identical for every optimal flow (see
-    /// [`Circulation::canonical_distances`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a negative residual cycle (impossible after a
-    /// terminating [`Self::solve`]).
-    pub fn canonical_distances(&mut self) -> Vec<i64> {
-        let Self { canon, cap, cost, .. } = self;
-        canon.reset_zero();
-        match canon.relax(|a| if cap[a] > 0 { cost[a] } else { i64::MAX }, 0) {
-            RelaxOutcome::Converged => canon.dist().to_vec(),
-            RelaxOutcome::NegativeCycle(_) => {
-                panic!("negative residual cycle: transportation not optimal")
-            }
-        }
-    }
-
-    /// Recovers the canonical assignment from the canonical duals, never
-    /// from the engine's internal flow — warm and cold solves therefore
-    /// extract bit-identical answers.
+    /// Recovers the canonical assignment and returns its quantized cost.
     ///
     /// Complementary slackness against the canonical dual `d` sorts every
     /// candidate arc into three classes by reduced cost `rc = c + d_ff −
@@ -2409,17 +1878,13 @@ impl Transportation {
     /// d_sink` negative = must fill to cap, zero = free, positive = must
     /// stay empty) become capacities and a large free-ring surcharge, and
     /// the arc cost is the candidate rank — the deterministic tiebreak.
-    fn extract(&mut self, cands: &[Vec<(u32, i64)>]) {
-        let d = self.canonical_distances();
-        self.assignment.clear();
-        self.assignment.resize(self.f, u32::MAX);
+    fn extract(&mut self) -> i128 {
         let mut total: i128 = 0;
-        let mut forced_cnt = vec![0i64; self.r];
+        let mut forced_cnt = vec![0i64; self.ring_caps.len()];
         let mut unforced: Vec<u32> = Vec::new();
-        for (i, list) in cands.iter().enumerate() {
+        for (i, list) in self.cands.iter().enumerate() {
             for &(ring, c) in list {
-                let rc = c + d[i] - d[self.f + ring as usize];
-                if rc < 0 {
+                if self.rc(i, ring, c) < 0 {
                     assert_eq!(
                         self.assignment[i],
                         u32::MAX,
@@ -2427,18 +1892,18 @@ impl Transportation {
                     );
                     self.assignment[i] = ring;
                     forced_cnt[ring as usize] += 1;
-                    total += c as i128;
+                    total += i128::from(c);
                 }
             }
             if self.assignment[i] == u32::MAX {
                 unforced.push(i as u32);
             }
         }
-        let residue = self.peel_ties(cands, &d, &mut forced_cnt, &unforced, &mut total);
+        let residue = self.peel_ties(&mut forced_cnt, &unforced, &mut total);
         if !residue.is_empty() {
-            total += self.complete_ties(cands, &d, &forced_cnt, &residue);
+            total += self.complete_ties(&forced_cnt, &residue);
         }
-        self.total_cost = total;
+        total
     }
 
     /// Degree-one peeling over the canonical tight subgraph — the fast
@@ -2457,26 +1922,23 @@ impl Transportation {
     /// flip-flop; only the genuinely ambiguous residue (returned) needs
     /// the exact matching of [`Self::complete_ties`].
     ///
-    /// Peeled moves are present in every optimum, so the peel is
-    /// flow-independent (warm and cold agree bit-identically) and any
-    /// processing order yields the same assignment.
+    /// Peeled moves are present in every optimum, so the peel depends on
+    /// the problem alone and any processing order yields the same
+    /// assignment.
     fn peel_ties(
         &mut self,
-        cands: &[Vec<(u32, i64)>],
-        d: &[i64],
         forced_cnt: &mut [i64],
         unforced: &[u32],
         total: &mut i128,
     ) -> Vec<u32> {
-        let sink = self.n - 1;
-        let mut avail: Vec<i64> = (0..self.r).map(|j| self.ring_caps[j] - forced_cnt[j]).collect();
-        let mut live: Vec<bool> =
-            (0..self.r).map(|j| d[self.f + j] - d[sink] <= 0 && avail[j] > 0).collect();
-        let mut deg = vec![0u32; self.f];
-        let mut ring_ffs: Vec<Vec<u32>> = vec![Vec::new(); self.r];
+        let (f, r) = (self.cands.len(), self.ring_caps.len());
+        let mut avail: Vec<i64> = (0..r).map(|j| self.ring_caps[j] - forced_cnt[j]).collect();
+        let mut live: Vec<bool> = (0..r).map(|j| self.rc_sink(j) <= 0 && avail[j] > 0).collect();
+        let mut deg = vec![0u32; f];
+        let mut ring_ffs: Vec<Vec<u32>> = vec![Vec::new(); r];
         for &i in unforced {
-            for &(ring, c) in &cands[i as usize] {
-                if c + d[i as usize] - d[self.f + ring as usize] == 0 && live[ring as usize] {
+            for &(ring, c) in &self.cands[i as usize] {
+                if self.rc(i as usize, ring, c) == 0 && live[ring as usize] {
                     deg[i as usize] += 1;
                     ring_ffs[ring as usize].push(i);
                 }
@@ -2491,13 +1953,13 @@ impl Transportation {
             if self.assignment[i] != u32::MAX {
                 continue;
             }
-            let (ring, c) = cands[i]
+            let (ring, c) = self.cands[i]
                 .iter()
                 .copied()
-                .find(|&(ring, c)| live[ring as usize] && c + d[i] - d[self.f + ring as usize] == 0)
+                .find(|&(ring, c)| live[ring as usize] && self.rc(i, ring, c) == 0)
                 .expect("peeled flip-flop lost its last tight ring: duals inconsistent");
             self.assignment[i] = ring;
-            *total += c as i128;
+            *total += i128::from(c);
             let j = ring as usize;
             forced_cnt[j] += 1;
             avail[j] -= 1;
@@ -2519,25 +1981,19 @@ impl Transportation {
 
     /// The tie-completion matching of [`Self::extract`]: assigns the
     /// flip-flops no arc forces, using only tight (`rc = 0`) arcs into
-    /// rings that may still take flow. Feasible by construction — the
-    /// engine's own optimal flow restricted to these flip-flops is a
-    /// witness. Returns the quantized cost of the chosen arcs.
-    fn complete_ties(
-        &mut self,
-        cands: &[Vec<(u32, i64)>],
-        d: &[i64],
-        forced_cnt: &[i64],
-        unforced: &[u32],
-    ) -> i128 {
-        let sink = self.n - 1;
+    /// rings that may still take flow. Feasible by construction — any
+    /// optimal flow restricted to these flip-flops is a witness. Returns
+    /// the quantized cost of the chosen arcs.
+    fn complete_ties(&mut self, forced_cnt: &[i64], unforced: &[u32]) -> i128 {
+        let r = self.ring_caps.len();
         // Rings that may carry tie flow: sink reduced cost ≤ 0 and spare
         // capacity beyond the forced load. (`rc_sink > 0` rings carry
         // nothing in any optimum; complementary slackness means they
         // also have no forced arcs.)
-        let mut ring_node = vec![u32::MAX; self.r];
+        let mut ring_node = vec![u32::MAX; r];
         let mut rings: Vec<u32> = Vec::new();
-        for j in 0..self.r {
-            let rc_sink = d[self.f + j] - d[sink];
+        for j in 0..r {
+            let rc_sink = self.rc_sink(j);
             debug_assert!(rc_sink <= 0 || forced_cnt[j] == 0, "forced arc into an empty ring");
             let avail = self.ring_caps[j] - forced_cnt[j];
             debug_assert!(avail >= 0, "forced load exceeds ring cap");
@@ -2551,15 +2007,14 @@ impl Transportation {
         let t = net.node(1);
         // Rank costs are small integers and the surcharge keeps their
         // total below it, so all f64 arithmetic below is exact.
-        let max_rank = cands.iter().map(Vec::len).max().unwrap_or(0);
-        let big = (self.f as f64) * (max_rank as f64) + 1.0;
+        let max_rank = self.cands.iter().map(Vec::len).max().unwrap_or(0);
+        let big = (self.cands.len() as f64) * (max_rank as f64) + 1.0;
         let mut tie_arcs: Vec<(u32, u32, i64, ArcId)> = Vec::new();
         for (mi, &i) in unforced.iter().enumerate() {
             let ff = net.node(2 + mi);
             net.add_arc(s, ff, 1, 0.0);
-            for (rank, &(ring, c)) in cands[i as usize].iter().enumerate() {
-                let rc = c + d[i as usize] - d[self.f + ring as usize];
-                if rc == 0 && ring_node[ring as usize] != u32::MAX {
+            for (rank, &(ring, c)) in self.cands[i as usize].iter().enumerate() {
+                if self.rc(i as usize, ring, c) == 0 && ring_node[ring as usize] != u32::MAX {
                     let arc = net.add_arc(
                         ff,
                         net.node(ring_node[ring as usize] as usize),
@@ -2572,9 +2027,8 @@ impl Transportation {
         }
         for &j in &rings {
             let j = j as usize;
-            let rc_sink = d[self.f + j] - d[sink];
             let avail = self.ring_caps[j] - forced_cnt[j];
-            let cost = if rc_sink < 0 { 0.0 } else { big };
+            let cost = if self.rc_sink(j) < 0 { 0.0 } else { big };
             net.add_arc(net.node(ring_node[j] as usize), t, avail, cost);
         }
         let (flow, _) = net
@@ -2586,7 +2040,7 @@ impl Transportation {
             if net.flow_on(arc) > 0 {
                 debug_assert_eq!(self.assignment[i as usize], u32::MAX);
                 self.assignment[i as usize] = ring;
-                total += c as i128;
+                total += i128::from(c);
             }
         }
         debug_assert!(self.assignment.iter().all(|&a| a != u32::MAX));
@@ -2629,20 +2083,6 @@ mod transportation_tests {
         (cands, caps)
     }
 
-    /// Drifts costs in place (same structure), occasionally leaving a
-    /// flip-flop untouched so warm reuse has something to reuse.
-    fn drift(cands: &mut [Vec<(u32, i64)>], seed: u64) {
-        let mut st = seed.wrapping_add(0x5851_f42d_4c95_7f2d);
-        for list in cands.iter_mut() {
-            if lcg(&mut st).is_multiple_of(3) {
-                continue;
-            }
-            for c in list.iter_mut() {
-                c.1 = (c.1 + (lcg(&mut st) % 21) as i64 - 10).max(0);
-            }
-        }
-    }
-
     /// Reference: the float [`FlowNetwork`] one-shot solve of the same
     /// bipartite network. Small integer costs are exact in `f64`.
     fn oracle(cands: &[Vec<(u32, i64)>], caps: &[i64]) -> Option<i64> {
@@ -2665,10 +2105,15 @@ mod transportation_tests {
     }
 
     /// Checks the extracted assignment is a valid optimal solution.
-    fn check_valid(tp: &Transportation, cands: &[Vec<(u32, i64)>], caps: &[i64], opt_cost: i64) {
+    fn check_valid(
+        tp: &TransportationSolution,
+        cands: &[Vec<(u32, i64)>],
+        caps: &[i64],
+        opt_cost: i64,
+    ) {
         let mut loads = vec![0i64; caps.len()];
         let mut total = 0i128;
-        for (i, &ring) in tp.assignment().iter().enumerate() {
+        for (i, &ring) in tp.assignment.iter().enumerate() {
             let c = cands[i]
                 .iter()
                 .find(|&&(j, _)| j == ring)
@@ -2680,7 +2125,7 @@ mod transportation_tests {
         for (j, &l) in loads.iter().enumerate() {
             assert!(l <= caps[j], "ring {j} over capacity");
         }
-        assert_eq!(total, tp.total_cost());
+        assert_eq!(total, tp.total_cost);
         assert_eq!(total, opt_cost as i128, "extracted assignment not optimal");
     }
 
@@ -2688,12 +2133,8 @@ mod transportation_tests {
     fn cold_matches_oracle() {
         for seed in 0..40u64 {
             let (cands, caps) = random_instance(24, 6, seed);
-            let mut tp = Transportation::new(24, 6);
-            match (tp.solve(&cands, &caps, false), oracle(&cands, &caps)) {
-                (Ok(_), Some(cost)) => {
-                    assert_eq!(tp.backend_label(), "tp-cold");
-                    check_valid(&tp, &cands, &caps, cost);
-                }
+            match (solve_transportation(&cands, &caps), oracle(&cands, &caps)) {
+                (Ok(tp), Some(cost)) => check_valid(&tp, &cands, &caps, cost),
                 (Err(TransportationInfeasible), None) => {}
                 (got, want) => panic!("seed {seed}: engine {got:?} vs oracle {want:?}"),
             }
@@ -2701,99 +2142,13 @@ mod transportation_tests {
     }
 
     #[test]
-    fn warm_drift_is_bit_identical_to_cold() {
-        for seed in 0..12u64 {
-            let (mut cands, caps) = random_instance(32, 8, seed.wrapping_mul(77).wrapping_add(3));
-            let Some(_) = oracle(&cands, &caps) else { continue };
-            let mut warm = Transportation::new(32, 8);
-            warm.solve(&cands, &caps, false).expect("feasible");
-            let mut reused_any = false;
-            for step in 0..6u64 {
-                drift(&mut cands, seed ^ (step << 8));
-                let stats = warm.solve(&cands, &caps, true).expect("drift keeps feasibility");
-                assert_eq!(warm.backend_label(), "tp-warm");
-                reused_any |= stats.reused_arcs > 0;
-                let mut cold = Transportation::new(32, 8);
-                cold.solve(&cands, &caps, false).expect("feasible");
-                assert_eq!(warm.assignment(), cold.assignment(), "seed {seed} step {step}");
-                assert_eq!(warm.total_cost(), cold.total_cost());
-                check_valid(&warm, &cands, &caps, oracle(&cands, &caps).unwrap());
-            }
-            assert!(reused_any, "seed {seed}: warm chain never reused carried flow");
-        }
-    }
-
-    #[test]
-    fn structural_add_drop_is_bit_identical_to_cold() {
-        for seed in 0..12u64 {
-            let (mut cands, mut caps) =
-                random_instance(24, 6, seed.wrapping_mul(131).wrapping_add(7));
-            if oracle(&cands, &caps).is_none() {
-                continue;
-            }
-            let mut warm = Transportation::new(24, 6);
-            warm.solve(&cands, &caps, false).expect("feasible");
-            let mut st = seed;
-            for step in 0..6 {
-                // Mutate structure: drop a candidate here, append one there,
-                // and wiggle a capacity.
-                for list in cands.iter_mut() {
-                    match lcg(&mut st) % 4 {
-                        0 if list.len() > 1 => {
-                            let at = (lcg(&mut st) as usize) % list.len();
-                            list.remove(at);
-                        }
-                        1 => {
-                            let j = (lcg(&mut st) as u32) % 6;
-                            if !list.iter().any(|&(r, _)| r == j) {
-                                list.push((j, (lcg(&mut st) % 100) as i64));
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                let j = (lcg(&mut st) as usize) % caps.len();
-                caps[j] = (lcg(&mut st) % 4) as i64;
-                let warm_res = warm.solve(&cands, &caps, true);
-                let mut cold = Transportation::new(24, 6);
-                let cold_res = cold.solve(&cands, &caps, false);
-                match (warm_res, cold_res, oracle(&cands, &caps)) {
-                    (Ok(_), Ok(_), Some(cost)) => {
-                        assert_eq!(warm.assignment(), cold.assignment(), "seed {seed} step {step}");
-                        assert_eq!(warm.total_cost(), cold.total_cost());
-                        check_valid(&warm, &cands, &caps, cost);
-                    }
-                    (Err(_), Err(_), None) => {
-                        // Both err, engine reset: the next solve reseeds
-                        // the warm chain cold.
-                    }
-                    (w, c, o) => {
-                        panic!("seed {seed} step {step}: warm {w:?} cold {c:?} oracle {o:?}")
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn infeasible_errs_and_recovers_warm_and_cold() {
-        let feasible: Vec<Vec<(u32, i64)>> =
+    fn infeasible_instance_errs() {
+        let cands: Vec<Vec<(u32, i64)>> =
             vec![vec![(0, 5), (1, 9)], vec![(0, 3)], vec![(1, 2), (0, 8)]];
-        let caps_ok = vec![2i64, 2];
-        let caps_short = vec![1i64, 0];
-        let mut tp = Transportation::new(3, 2);
-        assert_eq!(tp.solve(&feasible, &caps_short, false), Err(TransportationInfeasible));
-        // Engine reset itself: next solve (cold) succeeds.
-        tp.solve(&feasible, &caps_ok, false).expect("feasible");
-        assert_eq!(tp.assignment(), &[0, 0, 1]);
-        // Warm solve into an infeasible cap change errs too…
-        assert_eq!(tp.solve(&feasible, &caps_short, true), Err(TransportationInfeasible));
-        // …and the chain recovers afterwards, agreeing with cold.
-        tp.solve(&feasible, &caps_ok, true).expect("feasible again");
-        let mut cold = Transportation::new(3, 2);
-        cold.solve(&feasible, &caps_ok, false).expect("feasible");
-        assert_eq!(tp.assignment(), cold.assignment());
-        assert_eq!(tp.total_cost(), cold.total_cost());
+        assert_eq!(solve_transportation(&cands, &[1, 0]), Err(TransportationInfeasible));
+        let tp = solve_transportation(&cands, &[2, 2]).expect("feasible");
+        assert_eq!(tp.assignment, [0, 0, 1]);
+        assert_eq!(tp.total_cost, 10);
     }
 
     #[test]
@@ -2806,27 +2161,18 @@ mod transportation_tests {
         let cands: Vec<Vec<(u32, i64)>> =
             (0..f).map(|i| (0..r).map(|j| (((i + j) % r) as u32, 7i64)).collect()).collect();
         let caps = vec![4i64; r];
-        let mut cold = Transportation::new(f, r);
-        cold.solve(&cands, &caps, false).expect("feasible");
-        check_valid(&cold, &cands, &caps, oracle(&cands, &caps).unwrap());
+        let tp = solve_transportation(&cands, &caps).expect("feasible");
+        check_valid(&tp, &cands, &caps, oracle(&cands, &caps).unwrap());
         // Rank preference: with ties everywhere each FF gets its rank-0
         // candidate when caps allow — here the rank-0 rings rotate, so
         // they do.
-        for (i, &ring) in cold.assignment().iter().enumerate() {
+        for (i, &ring) in tp.assignment.iter().enumerate() {
             assert_eq!(ring, cands[i][0].0, "rank tiebreak must prefer rank 0");
         }
-        // Warm chain through a no-op and a drifted re-solve extracts the
-        // identical answer.
-        let mut warm = Transportation::new(f, r);
-        warm.solve(&cands, &caps, false).expect("feasible");
-        warm.solve(&cands, &caps, true).expect("feasible");
-        assert_eq!(warm.assignment(), cold.assignment());
+        assert_eq!(solve_transportation(&cands, &caps), Ok(tp));
         let mut drifted = cands.clone();
         drifted[5][0].1 = 6; // break one tie
-        warm.solve(&drifted, &caps, true).expect("feasible");
-        let mut cold2 = Transportation::new(f, r);
-        cold2.solve(&drifted, &caps, false).expect("feasible");
-        assert_eq!(warm.assignment(), cold2.assignment());
-        assert_eq!(warm.total_cost(), cold2.total_cost());
+        let tp = solve_transportation(&drifted, &caps).expect("feasible");
+        check_valid(&tp, &drifted, &caps, oracle(&drifted, &caps).unwrap());
     }
 }

@@ -151,7 +151,7 @@ impl RingLoads {
 /// 2. The remaining rows are fixed in decreasing max-fraction order (ties
 ///    toward the smaller row index) — the order the global argmax of
 ///    Fig. 5 would visit them. For each row, among the LP-supported
-///    candidates (fraction within [`PLAUSIBLE_SLACK`] of the row maximum),
+///    candidates (fraction within `PLAUSIBLE_SLACK` = 0.25 of the row maximum),
 ///    pick the one whose commitment least increases the peak ring load;
 ///    ties prefer the larger fraction, then the smaller choice index.
 ///

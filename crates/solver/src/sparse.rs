@@ -65,25 +65,28 @@ impl CsrMatrix {
     /// mapping each stored entry slot back to the index of the triplet it
     /// came from — callers carrying per-entry payloads (e.g. the arc ids of
     /// [`crate::graph::SpfaGraph`]) use it to address them by entry slot.
+    /// Takes the triplets as a re-iterable source (walked twice), so
+    /// callers need not materialize a triplet vector.
     pub fn from_triplets_with_perm(
         nrows: usize,
         ncols: usize,
-        triplets: &[(usize, usize, f64)],
+        triplets: impl Iterator<Item = (usize, usize, f64)> + Clone,
     ) -> (Self, Vec<u32>) {
         let mut counts = vec![0usize; nrows + 1];
-        for &(r, c, _) in triplets {
+        for (r, c, _) in triplets.clone() {
             assert!(r < nrows && c < ncols, "triplet ({r}, {c}) out of range");
             counts[r + 1] += 1;
         }
         for i in 0..nrows {
             counts[i + 1] += counts[i];
         }
+        let nnz = counts[nrows];
         let row_ptr = counts.clone();
-        let mut col_idx = vec![0u32; triplets.len()];
-        let mut vals = vec![0.0f64; triplets.len()];
-        let mut perm = vec![0u32; triplets.len()];
+        let mut col_idx = vec![0u32; nnz];
+        let mut vals = vec![0.0f64; nnz];
+        let mut perm = vec![0u32; nnz];
         let mut cursor = counts;
-        for (t, &(r, c, v)) in triplets.iter().enumerate() {
+        for (t, (r, c, v)) in triplets.enumerate() {
             let k = cursor[r];
             col_idx[k] = c as u32;
             vals[k] = v;

@@ -120,7 +120,7 @@ pub mod prop {
         use crate::TestRng;
         use rand::Rng;
 
-        /// Element-count specification for [`vec`].
+        /// Element-count specification for [`vec()`].
         #[derive(Debug, Clone)]
         pub struct SizeRange {
             lo: usize,
